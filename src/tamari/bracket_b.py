@@ -174,18 +174,49 @@ def leq(a: Vector, b: Vector) -> bool:
     return all(x <= y for x, y in zip(a, b, strict=True))
 
 
+def fits_at(v: Vector, n: int, k: int, x) -> bool:
+    """Whether setting coordinate k (0-based) of v to x breaks no constraint at k.
+
+    Checks only what involves coordinate k: the condition (i) pairs (i, k)
+    and (k, j), condition (ii) at k, and the condition (ii) references that
+    land on k, in O(n).  Entries of v equal to None are unset and constrain
+    nothing.  For a valid v this equals `is_valid(v[:k] + (x,) + v[k+1:], n)`,
+    because every other constraint is one v already satisfies.
+    """
+    if x != INF:
+        # (i) with k as the larger index; the bound falls as i moves left
+        for i in range(k - 1, max(k - 1 - x, -1), -1):
+            if v[i] is not None and v[i] > x - (k - i):
+                return False
+        # (ii) at k
+        if x >= k + 1 and v[n + k - x] not in (None, INF):
+            return False
+        # (ii) at some i < k whose reference n+i-v_i is k
+        if any(v[i] == n + i - k for i in range(k)):
+            return False
+    for j in range(k + 1, n):
+        # (i) with k as the smaller index
+        if v[j] is not None and x > v[j] - (j - k) >= 0:
+            return False
+    return True
+
+
 def _next_value_at(v: Vector, n: int, k: int):
     """Smallest legal strictly larger value at coordinate k, or None."""
     if v[k] == INF:
         return None
     for x in list(range(int(v[k]) + 1, n)) + [INF]:
-        if is_valid(v[:k] + (x,) + v[k + 1 :], n):
+        if fits_at(v, n, k, x):
             return x
     return None
 
 
 def upper_covers(v: Vector, n: int) -> list[Vector]:
-    """Covers differ in one coordinate, raised to the next legal value."""
+    """Covers differ in one coordinate, raised to the next legal value.
+
+    v is validated once; each candidate value is then re-checked only
+    against the constraints at the changed coordinate (`fits_at`).
+    """
     _check_valid(v, n)
     out = []
     for k in range(n):
@@ -198,7 +229,11 @@ def upper_covers(v: Vector, n: int) -> list[Vector]:
 
 
 def covers(a: Vector, b: Vector, n: int) -> bool:
-    """True iff b covers a: one coordinate differs with no legal value between."""
+    """True iff b covers a: one coordinate differs with no legal value between.
+
+    Both vectors are validated in full; the values strictly between are
+    re-checked only at the changed coordinate (`fits_at`).
+    """
     _check_valid(a, n)
     _check_valid(b, n)
     diffs = [k for k in range(n) if a[k] != b[k]]
@@ -208,7 +243,7 @@ def covers(a: Vector, b: Vector, n: int) -> bool:
     if not a[k] < b[k]:
         return False
     between = [x for x in range(int(a[k]) + 1, n) if x < b[k]]
-    return not any(is_valid(a[:k] + (x,) + a[k + 1 :], n) for x in between)
+    return not any(fits_at(a, n, k, x) for x in between)
 
 
 def up(f: Vector, n: int) -> Vector:

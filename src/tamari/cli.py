@@ -161,23 +161,29 @@ def cmd_covers(args) -> int:
     a = _parse_vector(args.vector, args.type, args.n)
     if args.other is not None:
         b = _parse_vector(args.other, args.type, args.n)
-        if args.type == "a":
-            result = ta.covers_a(a, b, args.n)
-        elif args.type == "bds":
-            result = q.covers_s(a, b, s, args.n)
-        else:
-            result = bb.covers(a, b, args.n)
+        try:
+            if args.type == "a":
+                result = ta.covers_a(a, b, args.n)
+            elif args.type == "bds":
+                result = q.covers_s(a, b, s, args.n)
+            else:
+                result = bb.covers(a, b, args.n)
+        except ValueError as e:
+            raise CliError(str(e)) from e
         _emit(args, json.dumps(result))
         return 0
     if args.type == "a":
         ups = [w for w in ta.enumerate_a(args.n) if ta.covers_a(a, w, args.n)]
         _emit(args, "\n".join(json.dumps(list(w)) for w in ups))
     else:
-        ups = (
-            q.upper_covers_s(a, s, args.n)
-            if args.type == "bds"
-            else bb.upper_covers(a, args.n)
-        )
+        try:
+            ups = (
+                q.upper_covers_s(a, s, args.n)
+                if args.type == "bds"
+                else bb.upper_covers(a, args.n)
+            )
+        except ValueError as e:
+            raise CliError(str(e)) from e
         _emit(args, "\n".join(json.dumps(bb.vector_to_json(w)) for w in ups))
     return 0
 

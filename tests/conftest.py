@@ -1,7 +1,9 @@
 import itertools
+from math import inf
 
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 settings.register_profile(
     "ci", max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -14,6 +16,35 @@ def all_subsets(n):
     for r in range(n + 1):
         out.extend(frozenset(c) for c in itertools.combinations(range(1, n + 1), r))
     return out
+
+
+@st.composite
+def bracket_vectors(draw, max_n: int):
+    """(v, n): a valid type-B bracket vector, filled left to right.
+
+    Coordinate k (0-based) is drawn from the finite x that keep condition
+    (i) against every earlier coordinate, plus inf; it is inf alone when an
+    earlier finite r_i >= i (1-based) points at it through condition (ii).
+    inf is always legal at the end of a valid prefix, so the fill never
+    gets stuck.
+    """
+    n = draw(st.integers(1, max_n))
+    v: list = []
+    pinned: set = set()
+    for k in range(n):
+        if k in pinned:
+            legal = [inf]
+        else:
+            legal = [
+                x
+                for x in range(n)
+                if all(v[i] <= x - (k - i) for i in range(max(0, k - x), k))
+            ] + [inf]
+        x = draw(st.sampled_from(legal))
+        if x != inf and x >= k + 1:
+            pinned.add(n + k - x)
+        v.append(x)
+    return tuple(v), n
 
 
 @pytest.fixture(scope="session")

@@ -68,6 +68,26 @@ def test_leq_examples():
     assert bb.leq((0, 1, 0), (0, 1, 0))
 
 
+def test_fits_at_matches_is_valid():
+    for n in range(1, 7):
+        for v in bb.enumerate_vectors(n):
+            for k in range(n):
+                for x in list(range(n)) + [INF]:
+                    assert bb.fits_at(v, n, k, x) == bb.is_valid(v[:k] + (x,) + v[k + 1 :], n)
+
+
+def test_upper_covers_are_next_valid_raises():
+    for n in range(1, 7):
+        for v in bb.enumerate_vectors(n):
+            expected = []
+            for k in range(n):
+                above = [x for x in list(range(n)) + [INF] if x > v[k]]
+                nxt = [x for x in above if bb.is_valid(v[:k] + (x,) + v[k + 1 :], n)]
+                if nxt:
+                    expected.append(v[:k] + (nxt[0],) + v[k + 1 :])
+            assert bb.upper_covers(v, n) == expected
+
+
 def test_covers_examples():
     assert bb.covers((0, 0, 0), (INF, 0, 0), 3)
     assert not bb.covers((0, 0, 0), (0, INF, 0), 3)

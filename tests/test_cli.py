@@ -158,3 +158,22 @@ def test_verify_exit_codes(capsys):
     report = json.loads(out)
     assert any("meet congruence" in f for f in report["failures"])
     assert not any("join congruence" in f for f in report["failures"])
+
+
+@pytest.mark.parametrize(
+    "partition", ['{"n": 2}', "[1]", '{"n": 2, "blocks": 5}', '{"n": 2, "blocks": [5]}']
+)
+def test_psi_inv_malformed_partition(capsys, partition):
+    code, out, err = run(capsys, "psi-inv", "--partition", partition)
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "invalid partition" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("other", [[], ["--other", '[0,0,"inf"]']])
+def test_covers_outside_tns(capsys, other):
+    argv = ["covers", "--type", "bds", "--n", "3", "--s", "3", "--vector", "[0,0,2]"]
+    code, out, err = run(capsys, *argv, *other)
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "not in T_n^S" in err
+    assert "Traceback" not in err

@@ -1,4 +1,6 @@
 import pytest
+from conftest import bracket_vectors
+from hypothesis import given, settings
 
 from tamari import bracket_b as bb
 from tamari import noncross as nc
@@ -80,6 +82,28 @@ def test_psi_inverse_round_trips(vectors_by_n):
             assert bb.encode(nc.psi_inverse(p)) == v
         for p in nc.enumerate_ncb(n):
             assert nc.psi(nc.psi_inverse(p)).blocks == p.blocks
+
+
+def test_psi_inverse_round_trips_n7():
+    n = 7
+    vecs = bb.enumerate_vectors(n)
+    assert len(vecs) == 3432
+    for v in vecs:
+        assert bb.encode(nc.psi_inverse(nc.psi(bb.decode(v, n)))) == v
+
+
+@settings(max_examples=20)
+@given(bracket_vectors(max_n=200))
+def test_psi_inverse_round_trips_large(vn):
+    v, n = vn
+    assert bb.is_valid(v, n)
+    assert bb.encode(nc.psi_inverse(nc.psi(bb.decode(v, n)))) == v
+
+
+@pytest.mark.parametrize("n", [16, 200])
+def test_psi_inverse_top_large(n):
+    top = nc.psi(bb.decode(bb.top_vector(n), n))
+    assert bb.encode(nc.psi_inverse(top)) == bb.top_vector(n)
 
 
 def test_psi_inverse_examples():
