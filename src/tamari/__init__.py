@@ -22,8 +22,17 @@ from .bracket_b import (
     up,
 )
 from .noncross import NoncrossingPartitionB, enumerate_ncb, in_bds, psi, psi_inverse
-from .oracle import FinitePoset
 from .tri_b import TriangulationB, covers_by_flip, flip
+
+
+def __getattr__(name):
+    # The oracle needs numpy; load it only when FinitePoset is asked for.
+    if name == "FinitePoset":
+        from .oracle import FinitePoset
+
+        return FinitePoset
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "INF",

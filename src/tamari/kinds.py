@@ -1,0 +1,279 @@
+"""One object per lattice kind: classical A, type B and the BD^S quotients.
+
+All three use bracket vectors under the componentwise order.  A kind binds
+n (and S for BD^S) and owns what differs: parsing outside input (raising
+only ValueError), JSON formatting, enumeration and counting, the lattice
+operations, the geometric views, the capabilities it lacks and the verify
+suites that apply to it.  `lattice_kind` is the only place a type name is
+compared.  Kinds call library functions through their modules when they
+run (`bb.meet(...)`), so outside-in tracing sees every call.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+from . import bracket_b as bb
+from . import noncross as nc
+from . import quotient_bds as q
+from . import shelling as sh
+from . import tamari_a as ta
+from . import tri_b
+
+# Largest lattice that is listed element by element (enumerate, bds count).
+MAX_ELEMENTS = 10**6
+# Largest n for a closed-form count: C(2n, n) then has about 3000 digits.
+MAX_COUNT_N = 5000
+TRIANGULATION_SHAPE = '{"n": n, "chords": [[a, b], ...]}'
+
+
+def _parse_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise ValueError(f"malformed JSON in {what}: {e}") from None
+
+
+class Kind:
+    """What every kind shares: input parsing, capabilities and enumeration."""
+
+    missing: dict = {}  # capability -> the message refusing it
+
+    def __init__(self, n, s=frozenset()):
+        self.n = n
+        self.s = s
+
+    def __str__(self) -> str:
+        return f"type={self.name} n={self.n}" + (f" s={sorted(self.s)}" if self.s else "")
+
+    def require(self, capability: str) -> None:
+        if capability in self.missing:
+            raise ValueError(self.missing[capability])
+
+    def parse_vector(self, text: str) -> tuple:
+        data = _parse_json(text, "vector")
+        try:
+            v, broken = self._checked(data)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"invalid bracket vector {data}: {e}") from None
+        if broken is not None:
+            raise ValueError(f"invalid bracket vector {data}: condition {broken[0]} at {broken[1]}")
+        return v
+
+    def parse_triangulation(self, text: str):
+        data = _parse_json(text, "triangulation")
+        try:
+            return self.triangulation.from_json(data)
+        except (KeyError, TypeError, OverflowError):
+            raise ValueError(f"invalid triangulation: expected {TRIANGULATION_SHAPE}") from None
+        except ValueError as e:
+            raise ValueError(f"invalid triangulation: {e}") from None
+
+    def count(self) -> int:
+        if self.n > MAX_COUNT_N:
+            raise ValueError(f"n={self.n} exceeds the cap {MAX_COUNT_N} for count")
+        return self.size()
+
+    def elements(self):
+        """Every element, lexicographically; refused above MAX_ELEMENTS."""
+        # each size at least doubles with n, so from n = 20 on it is over the cap
+        if self.n >= MAX_ELEMENTS.bit_length() or self.size() > MAX_ELEMENTS:
+            raise ValueError(f"n={self.n}: more than {MAX_ELEMENTS} elements, the enumeration cap")
+        return self._elements()
+
+
+class TypeB(Kind):
+    """The type-B Tamari lattice T_n^B."""
+
+    name = "b"
+    # no congruence: with S empty ~_S is the identity, leaving only meets `lattice` checks
+    suites = ("lattice", "covers", "bijection", "leftmod", "el")
+    triangulation = tri_b.TriangulationB
+
+    def _checked(self, data):
+        """(vector, first violated condition or None)."""
+        v = bb.vector_from_json(data)
+        return v, bb.violation(v, self.n) if len(v) == self.n else ("length", len(v))
+
+    def vector_json(self, v) -> list:
+        return bb.vector_to_json(v)
+
+    # -- the whole lattice --------------------------------------------------
+
+    def size(self) -> int:
+        """|T_n^B|, in closed form."""
+        return math.comb(2 * self.n, self.n)
+
+    def _elements(self):
+        return sh.lattice_elements(self.n, self.s)
+
+    # -- order and operations -----------------------------------------------
+
+    def leq(self, a, b) -> bool:
+        return bb.leq(a, b)
+
+    def meet(self, a, b):
+        return bb.meet(a, b, self.n)
+
+    def join(self, a, b):
+        return bb.join(a, b, self.n)
+
+    def covers(self, a, b) -> bool:
+        return bb.covers(a, b, self.n)
+
+    def upper_covers(self, v) -> list:
+        return bb.upper_covers(v, self.n)
+
+    def edge_label(self, a, b):
+        """The EL label of a cover edge, as `hasse` prints it."""
+        return sh.el_label(a, b, self.n, self.s)
+
+    def mobius(self, y, z) -> dict:
+        for v in (y, z):
+            if not q.vector_in_tns(v, self.n, self.s):
+                raise ValueError(f"{bb.vector_to_json(v)} is not in T_n^S for s={sorted(self.s)}")
+        if not bb.leq(y, z):
+            raise ValueError("first vector must be below the second")
+        h = sh.interval_homotopy(y, z, self.n, self.s)
+        return {
+            "interval": [bb.vector_to_json(y), bb.vector_to_json(z)],
+            "mobius": sh.mobius(y, z, self.n, self.s),
+            "homotopy": "contractible" if h[0] == "contractible" else f"sphere({h[1]})",
+        }
+
+    # -- geometric views ----------------------------------------------------
+
+    def decode(self, v):
+        return bb.decode(v, self.n)
+
+    def encode(self, t) -> tuple:
+        return bb.encode(t)
+
+    def covers_by_flip(self, t, u) -> bool:
+        return tri_b.covers_by_flip(t, u)
+
+    def psi_json(self, v):
+        return nc.psi(bb.decode(v, self.n)).to_json()
+
+    def psi_inverse(self, text: str):
+        """The triangulation of a partition given as JSON text."""
+        data = _parse_json(text, "partition")
+        try:
+            return nc.psi_inverse(nc.NoncrossingPartitionB.from_json(data))
+        except ValueError as e:
+            raise ValueError(f"invalid partition: {e}") from None
+
+
+class TypeBDS(TypeB):
+    """The pseudo-type BD_n^S lattice T_n^S, a subposet of T_n^B.
+
+    Vectors parse as type-B vectors; the operations check membership in
+    T_n^S.  Upper covers come out sorted, also for S empty.
+    """
+
+    name = "bds"
+    suites = ("lattice", "covers", "bijection", "leftmod", "el", "congruence")
+
+    def count(self) -> int:
+        return len(self.elements())
+
+    def meet(self, a, b):
+        return q.meet_s(a, b, self.s, self.n)
+
+    def join(self, a, b):
+        return q.join_s(a, b, self.s, self.n)
+
+    def covers(self, a, b) -> bool:
+        return q.covers_s(a, b, self.s, self.n)
+
+    def upper_covers(self, v) -> list:
+        return q.upper_covers_s(v, self.s, self.n)
+
+
+class TypeA(Kind):
+    """The classical Tamari lattice on (n+3)-gon triangulations: (n+1)-vectors."""
+
+    name = "a"
+    suites = ("lattice", "covers", "bijection")
+    missing = {c: f"{c} is implemented for types b and bds only" for c in ("psi-inv", "mobius")}
+    missing |= {
+        f"suite {x}": f"suite {x} applies to types b and bds only"
+        for x in ("leftmod", "el", "congruence")
+    }
+    triangulation = ta.TriangulationA
+
+    def _checked(self, data):
+        v = tuple(data)
+        return v, ta.validate_a(v, self.n)
+
+    def vector_json(self, v) -> list:
+        return list(v)
+
+    def size(self) -> int:
+        """|T_n^A| = Catalan(n+1), in closed form."""
+        return ta.catalan(self.n + 1)
+
+    def _elements(self):
+        return ta.enumerate_a(self.n)
+
+    def leq(self, a, b) -> bool:
+        return ta.leq_a(a, b)
+
+    def meet(self, a, b):
+        return ta.meet_a(a, b, self.n)
+
+    def join(self, a, b):
+        return ta.join_a(a, b, self.n)
+
+    def covers(self, a, b) -> bool:
+        return ta.covers_a(a, b, self.n)
+
+    def upper_covers(self, v) -> list:
+        """A cover raises one coordinate to its next legal value; higher
+        coordinates first is lexicographic order."""
+        v = tuple(map(int, v))  # JSON true/false parse as 1/0
+        out = []
+        for k in range(self.n, -1, -1):
+            for x in range(v[k] + 1, k + 1):
+                w = v[:k] + (x,) + v[k + 1 :]
+                if ta.is_valid_a(w, self.n):
+                    out.append(w)
+                    break
+        return out
+
+    def edge_label(self, a, b):
+        return None
+
+    def decode(self, v):
+        return ta.decode_a(v, self.n)
+
+    def encode(self, t) -> tuple:
+        return ta.encode_a(t)
+
+    def covers_by_flip(self, t, u) -> bool:
+        return ta.covers_by_flip_a(t, u)
+
+    def psi_json(self, v):
+        return ta.partition_a_to_json(ta.psi_a(ta.decode_a(v, self.n)))
+
+
+def lattice_kind(type: str, n=None, s=None) -> Kind:
+    """The kind for a type name "a", "b" or "bds" at size n.
+
+    s is the subset S of [n], as integers or as the text of --s ("1,3");
+    only type bds takes one.
+    """
+    if type != "bds":
+        if s:
+            raise ValueError("--s is only allowed with --type bds")
+        return {"a": TypeA, "b": TypeB}[type](n)
+    if isinstance(s, str):
+        try:
+            s = [int(x) for x in s.split(",") if x.strip()]
+        except ValueError as e:
+            raise ValueError(f"bad --s value {s!r}: {e}") from None
+    s = frozenset(s or ())
+    if any(not 1 <= i <= n for i in s):
+        raise ValueError(f"--s entries must lie in [1, {n}]")
+    return TypeBDS(n, s)

@@ -79,10 +79,6 @@ def circle_pos(x: int, n: int) -> int:
     return x - 1 if x > 0 else n - x - 1
 
 
-def bar_element(x: int) -> int:
-    return -x
-
-
 def bar_blocks(blocks) -> frozenset[frozenset[int]]:
     return frozenset(frozenset(-x for x in b) for b in blocks)
 

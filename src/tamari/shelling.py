@@ -132,10 +132,6 @@ def gamma_chain_label(a, b, n: int, s=frozenset()):
     raise AssertionError("no chain step hit")
 
 
-def interval_elements(y, z, n: int, s=frozenset()) -> list:
-    return [v for v in lattice_elements(n, s) if bb.leq(y, v) and bb.leq(v, z)]
-
-
 def _upper_covers_in(v, z, n: int, s) -> list:
     return [w for w in q.upper_covers_s(v, s, n) if bb.leq(w, z)]
 
@@ -212,27 +208,6 @@ def interval_homotopy(y, z, n: int, s=frozenset()):
     if chain is None:
         return ("contractible",)
     return ("sphere", len(chain) - 3)
-
-
-def homotopy_report(n: int, s=frozenset()) -> list[dict]:
-    """Per-interval homotopy/Mobius report, JSON-ready."""
-    elems = lattice_elements(n, s)
-    out = []
-    for y in elems:
-        for z in elems:
-            if not bb.leq(y, z):
-                continue
-            found = decreasing_chains(y, z, n, s)
-            h = interval_homotopy(y, z, n, s)
-            out.append(
-                {
-                    "interval": [bb.vector_to_json(y), bb.vector_to_json(z)],
-                    "mobius": mobius(y, z, n, s),
-                    "homotopy": "contractible" if h[0] == "contractible" else f"sphere({h[1]})",
-                    "chains_checked": len(found),
-                }
-            )
-    return out
 
 
 def verify_el(n: int, s=frozenset(), labeller=None) -> dict:

@@ -101,10 +101,18 @@ def is_valid_a(v: Vector, n: int) -> bool:
 
 
 def enumerate_a(n: int) -> list[Vector]:
-    out = []
-    for v in itertools.product(*(range(i + 1) for i in range(n + 1))):
-        if is_valid_a(v, n):
-            out.append(v)
+    """All valid vectors, lexicographically.  Prefixes grow one coordinate
+    at a time, each new one checked against condition (i) with the earlier
+    ones only, so every kept prefix is valid and so is every full vector."""
+    out: list[Vector] = [()]
+    for j in range(n + 1):
+        out = [
+            p + (x,)
+            for p in out
+            for x in range(j + 1)
+            # (i) binds the pairs (i, j) with j - i <= x
+            if all(p[i] <= x - (j - i) for i in range(max(0, j - x), j))
+        ]
     return out
 
 

@@ -74,14 +74,6 @@ class TriangulationB:
         return cls.from_chords(n, [chord_from_labels(p, n) for p in data["chords"]])
 
 
-def _neighbour_map(t: TriangulationB) -> dict[int, set[int]]:
-    nbrs: dict[int, set[int]] = {v: set() for v in range(n_vertices(t.n))}
-    for a, b in t.edges():
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    return nbrs
-
-
 def _apexes(t: TriangulationB, c: Chord) -> tuple[int, int]:
     """The two triangle apexes flanking an internal chord."""
     if c not in t.chords:

@@ -2,7 +2,9 @@
 
 Each suite is a thin composition of module-level operations; it returns a
 report dict with a "passed" flag and a list of human-readable failure
-strings.  The CLI maps suite failures to exit code 2.
+strings.  The CLI maps suite failures to exit code 2.  Suites that take a
+type work through its kind object (`tamari.kinds`), branching only where
+the witnesses differ on purpose.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import quotient_bds as q
 from . import shelling as sh
 from . import tamari_a as ta
 from . import tri_b
-from .oracle import FinitePoset
+from .kinds import TypeA, TypeB, lattice_kind
 
 
 def _seed() -> int:
@@ -34,48 +36,34 @@ def _report(name: str, failures: list[str], checked: int) -> dict:
     }
 
 
-def _subsets(n: int):
-    for r in range(n + 1):
-        yield from (frozenset(c) for c in itertools.combinations(range(1, n + 1), r))
-
-
 def _parse_s(s) -> frozenset:
     return frozenset(s or ())
 
 
+def _poset(elems, leq):
+    from .oracle import FinitePoset  # numpy loads only once a suite needs the oracle
+
+    return FinitePoset.build(elems, leq)
+
+
 def suite_lattice(kind: str, n: int, s=()) -> dict:
     """Poset is a lattice per oracle; formula meet/join match on all pairs."""
-    s = _parse_s(s)
+    lat = lattice_kind(kind, n, s)
     failures: list[str] = []
     checked = 0
-    if kind == "a":
-        elems = ta.enumerate_a(n)
-        po = FinitePoset.build(elems, ta.leq_a)
-        meets, joins = po.all_meets(), po.all_joins()
-        for a in elems:
-            for b in elems:
-                checked += 1
-                if ta.meet_a(a, b, n) != meets[(a, b)]:
-                    failures.append(f"meet_a({a},{b}) != oracle {meets[(a, b)]}")
-                if ta.join_a(a, b, n) != joins[(a, b)]:
-                    failures.append(f"join_a({a},{b}) != oracle {joins[(a, b)]}")
-    else:
-        elems = list(sh.lattice_elements(n, s))
-        po = FinitePoset.build(elems, bb.leq)
-        meets, joins = po.all_meets(), po.all_joins()
-        for a in elems:
-            for b in elems:
-                checked += 1
-                m = q.meet_s(a, b, s, n) if s else bb.meet(a, b, n)
-                j = q.join_s(a, b, s, n) if s else bb.join(a, b, n)
-                if m != meets[(a, b)]:
-                    failures.append(f"meet({a},{b}) != oracle {meets[(a, b)]}")
-                if j != joins[(a, b)]:
-                    failures.append(f"join({a},{b}) != oracle {joins[(a, b)]}")
-        if any(v is None for v in meets.values()) or any(
-            v is None for v in joins.values()
-        ):
-            failures.append("oracle: not a lattice")
+    elems = list(lat.elements())
+    po = _poset(elems, lat.leq)
+    meets, joins = po.all_meets(), po.all_joins()
+    for a in elems:
+        for b in elems:
+            checked += 1
+            if lat.meet(a, b) != meets[(a, b)]:
+                failures.append(f"meet({a},{b}) != oracle {meets[(a, b)]}")
+            if lat.join(a, b) != joins[(a, b)]:
+                failures.append(f"join({a},{b}) != oracle {joins[(a, b)]}")
+    if None in meets.values() or None in joins.values():
+        failures.append("oracle: not a lattice")
+    if isinstance(lat, TypeB):  # type B and its quotients only
         # lattice algebra: exhaustive triples at small n, seeded sample beyond
         rng = random.Random(_seed())
         triples = (
@@ -83,8 +71,7 @@ def suite_lattice(kind: str, n: int, s=()) -> dict:
             if len(elems) ** 3 <= 10_000
             else [tuple(rng.choices(elems, k=3)) for _ in range(2000)]
         )
-        join = (lambda a, b: q.join_s(a, b, s, n)) if s else (lambda a, b: bb.join(a, b, n))
-        meet = (lambda a, b: q.meet_s(a, b, s, n)) if s else (lambda a, b: bb.meet(a, b, n))
+        meet, join = lat.meet, lat.join
         for a, b, c in triples:
             checked += 1
             if join(a, b) != join(b, a) or meet(a, b) != meet(b, a):
@@ -100,27 +87,18 @@ def suite_lattice(kind: str, n: int, s=()) -> dict:
 
 def suite_covers(kind: str, n: int, s=()) -> dict:
     """Bracket-order Hasse edges equal diagonal-flip edges (quotient: subposet Hasse)."""
-    s = _parse_s(s)
+    lat = lattice_kind(kind, n, s)
     failures: list[str] = []
     checked = 0
-    if kind == "a":
-        vecs = ta.enumerate_a(n)
-        tris = {v: ta.decode_a(v, n) for v in vecs}
-        for a in vecs:
-            for b in vecs:
+    elems = lat.elements()
+    if not lat.s:  # witness: the diagonal-flip graph
+        tris = {v: lat.decode(v) for v in elems}
+        for a in elems:
+            for b in elems:
                 checked += 1
-                if ta.covers_a(a, b, n) != ta.covers_by_flip_a(tris[a], tris[b]):
-                    failures.append(f"type-A cover mismatch at {a} -> {b}")
-    elif not s:
-        vecs = bb.enumerate_vectors(n)
-        tris = {v: bb.decode(v, n) for v in vecs}
-        for a in vecs:
-            for b in vecs:
-                checked += 1
-                if bb.covers(a, b, n) != tri_b.covers_by_flip(tris[a], tris[b]):
+                if lat.covers(a, b) != lat.covers_by_flip(tris[a], tris[b]):
                     failures.append(f"cover mismatch at {a} -> {b}")
-    else:
-        elems = list(sh.lattice_elements(n, s))
+    else:  # witness: the Hasse diagram of the subposet T_n^S
         for a in elems:
             for b in elems:
                 if a == b or not bb.leq(a, b):
@@ -129,7 +107,7 @@ def suite_covers(kind: str, n: int, s=()) -> dict:
                 hasse = not any(
                     c != a and c != b and bb.leq(a, c) and bb.leq(c, b) for c in elems
                 )
-                if q.covers_s(a, b, s, n) != hasse:
+                if lat.covers(a, b) != hasse:
                     failures.append(f"quotient cover mismatch at {a} -> {b}")
     return _report("covers", failures, checked)
 
@@ -138,7 +116,7 @@ def suite_bijection(kind: str, n: int, s=()) -> dict:
     """psi is injective with image exactly NC^B_n; inverses compose to id."""
     failures: list[str] = []
     checked = 0
-    if kind == "a":
+    if isinstance(lattice_kind(kind, n, s), TypeA):  # witness: the classical psi_a
         vecs = ta.enumerate_a(n)
         seen = set()
         for v in vecs:
@@ -149,7 +127,7 @@ def suite_bijection(kind: str, n: int, s=()) -> dict:
             seen.add(p)
         if len(seen) != ta.catalan(n + 1):
             failures.append(f"|image| = {len(seen)} != catalan({n + 1})")
-    else:
+    else:  # witness: psi onto the enumerated NC^B, on all of T_n^B
         vecs = bb.enumerate_vectors(n)
         images = {}
         for v in vecs:
@@ -194,7 +172,7 @@ def suite_el(n: int, s=()) -> dict:
     failures = [str(v) for v in rep["violations"]]
     checked = rep["intervals_checked"]
     elems = list(sh.lattice_elements(n, s))
-    po = FinitePoset.build(elems, bb.leq)
+    po = _poset(elems, bb.leq)
     for y in elems:
         for z in elems:
             if not bb.leq(y, z):
@@ -231,7 +209,7 @@ def suite_congruence(n: int, s=()) -> dict:
                 failures.append(f"join congruence fails: v={v} w={w} z={z}")
             if not q.equivalent(bb.meet(v, z, n), bb.meet(w, z, n), s, n):
                 failures.append(f"meet congruence fails: v={v} w={w} z={z}")
-    po = FinitePoset.build(elems, bb.leq)
+    po = _poset(elems, bb.leq)
     meets = po.all_meets()
     for a in elems:
         for b in elems:
@@ -252,34 +230,28 @@ def suite_congruence(n: int, s=()) -> dict:
     return out
 
 
-SUITES = ("lattice", "covers", "bijection", "leftmod", "el", "congruence")
+# Suite name -> runner; the suite functions are looked up when one runs.
+_RUNNERS = {
+    "lattice": lambda kind, n, s: suite_lattice(kind, n, s),
+    "covers": lambda kind, n, s: suite_covers(kind, n, s),
+    "bijection": lambda kind, n, s: suite_bijection(kind, n, s),
+    "leftmod": lambda kind, n, s: suite_leftmod(n, s),
+    "el": lambda kind, n, s: suite_el(n, s),
+    "congruence": lambda kind, n, s: suite_congruence(n, s),
+}
+SUITES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, kind: str, n: int, s=()) -> dict:
-    if name == "lattice":
-        out = suite_lattice(kind, n, s)
-    elif name == "covers":
-        out = suite_covers(kind, n, s)
-    elif name == "bijection":
-        out = suite_bijection(kind, n, s)
-    elif name == "leftmod":
-        out = suite_leftmod(n, s)
-    elif name == "el":
-        out = suite_el(n, s)
-    elif name == "congruence":
-        out = suite_congruence(n, s)
-    else:
+    if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    out = _RUNNERS[name](kind, n, s)
     out.update({"type": kind, "n": n, "s": sorted(_parse_s(s))})
     return out
 
 
 def count_elements(kind: str, n: int, s=()) -> int:
-    if kind == "a":
-        return len(ta.enumerate_a(n))
-    if kind == "b":
-        return len(bb.enumerate_vectors(n))
-    return len(sh.lattice_elements(n, _parse_s(s)))
+    return lattice_kind(kind, n, s).count()
 
 
 def triple_count_check(n: int) -> dict:

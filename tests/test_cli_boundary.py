@@ -1,0 +1,177 @@
+"""The CLI's input boundary: one error line instead of a traceback, size caps,
+closed-form counts, a quiet exit on a closed pipe, and a lazy numpy import."""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from tamari import bracket_b as bb
+from tamari import noncross as nc
+from tamari import tamari_a as ta
+from tamari.cli import main
+from tamari.kinds import MAX_ELEMENTS, lattice_kind
+from tamari.verify import SUITES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run(*argv):
+    """(exit status, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:  # argparse rejects the command line
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def python(*args, **kwargs):
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decode", "--n", "3", "--vector", "5"],
+        ["psi", "--type", "a", "--n", "2", "--vector", "7"],
+        ["decode", "--n", "3", "--vector", "null"],
+        ["decode", "--n", "3", "--vector", "[5,0,0]"],
+        ["decode", "--type", "a", "--n", "2", "--vector", '[0,"x",0]'],
+        ["meet", "--type", "a", "--n", "2", "--vector", "[0,0,0]", "--other", "[0,1]"],
+        ["encode", "--triangulation", '{"n":3}'],
+        ["encode", "--triangulation", "[1]"],
+        ["encode", "--triangulation", "null"],
+        ["encode", "--type", "a", "--triangulation", '{"n": 2, "chords": [5]}'],
+        ["decode", "--n", "3", "--vector", "[" * 100_000],
+        ["decode", "--n", "3", "--vector", '"a\\nb"'],
+    ],
+)
+def test_malformed_input_is_one_error_line(argv):
+    code, out, err = run(*argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_count_closed_form():
+    assert run("count", "--n", "30")[1] == "118264581564861424\n"  # C(60, 30)
+    assert run("count", "--type", "a", "--n", "30")[1] == f"{ta.catalan(31)}\n"
+    code, out, err = run("count", "--n", "100000")
+    assert code == 1 and out == "" and "cap" in err
+
+
+def test_enumerate_and_bds_count_refuse_above_the_cap():
+    for argv in (
+        ["enumerate", "--n", "30"],
+        ["enumerate", "--n", "12"],  # C(24, 12) = 2,704,156
+        ["enumerate", "--type", "a", "--n", "13"],  # Catalan(14) = 2,674,440
+        ["count", "--type", "bds", "--n", "12", "--s", "1"],
+    ):
+        code, out, err = run(*argv)
+        assert code == 1 and out == "", argv
+        assert len(err.splitlines()) == 1 and f"more than {MAX_ELEMENTS}" in err, argv
+
+
+def test_type_a_upper_covers_match_the_cover_relation():
+    for n in range(1, 6):
+        kind = lattice_kind("a", n)
+        vecs = ta.enumerate_a(n)
+        for v in vecs:
+            assert kind.upper_covers(v) == [w for w in vecs if ta.covers_a(v, w, n)]
+
+
+def test_closed_pipe_exits_quietly():
+    proc = python(
+        "-m", "tamari", "enumerate", "--n", "8", stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.readline() == b"[0, 0, 0, 0, 0, 0, 0, 0]\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert b"Traceback" not in err and err == b""
+
+
+def test_cli_import_does_not_load_numpy():
+    proc = python("-c", "import tamari, tamari.cli, sys; assert 'numpy' not in sys.modules")
+    assert proc.wait() == 0
+
+
+def test_finite_poset_still_importable_from_package():
+    from tamari import FinitePoset
+
+    assert FinitePoset.build([0, 1], lambda a, b: a <= b).top() == 1
+
+
+# -- fuzzing the whole command line ------------------------------------------------
+
+VALID_VECTORS = [
+    json.dumps(bb.vector_to_json(v)) for n in (1, 2, 3) for v in bb.enumerate_vectors(n)
+]
+VALID_VECTORS += [json.dumps(list(v)) for n in (1, 2, 3) for v in ta.enumerate_a(n)]
+SOME_B = bb.enumerate_vectors(3)[::4]
+VALID_TRIANGULATIONS = [json.dumps(bb.decode(v, 3).to_json()) for v in SOME_B]
+VALID_TRIANGULATIONS += [json.dumps(ta.decode_a(v, 3).to_json()) for v in ta.enumerate_a(3)[::4]]
+VALID_PARTITIONS = [json.dumps(nc.psi(bb.decode(v, 3)).to_json()) for v in SOME_B]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats(allow_nan=False)
+    | st.sampled_from(["inf", "1", "-1", "x", "n"]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["n", "chords", "blocks", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def payloads(valid):
+    return st.one_of(st.sampled_from(valid), json_values.map(json.dumps), st.text(max_size=12))
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(
+        st.sampled_from(
+            ["count", "enumerate", "encode", "decode", "meet", "join", "covers", "psi",
+             "psi-inv", "mobius", "hasse", "verify"]
+        )
+    )
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from(SUITES)))
+    argv += ["--type", draw(st.sampled_from(["a", "b", "bds"]))]
+    if command not in ("encode", "psi-inv"):
+        # exhaustive suites and Hasse diagrams stay small
+        argv += ["--n", str(draw(st.integers(-1, 3 if command in ("verify", "hasse") else 5)))]
+    if draw(st.booleans()):
+        s_texts = st.sampled_from(["1", "1,3", "2", "", "0", "9", "x"]) | st.text(max_size=5)
+        argv += ["--s", draw(s_texts)]
+    if command in ("decode", "meet", "join", "covers", "psi", "mobius"):
+        argv += ["--vector", draw(payloads(VALID_VECTORS))]
+    if command in ("meet", "join", "mobius") or (command == "covers" and draw(st.booleans())):
+        argv += ["--other", draw(payloads(VALID_VECTORS))]
+    if command == "encode":
+        argv += ["--triangulation", draw(payloads(VALID_TRIANGULATIONS))]
+    if command == "psi-inv":
+        argv += ["--partition", draw(payloads(VALID_PARTITIONS))]
+    if command in ("enumerate", "hasse"):
+        argv += ["--format", draw(st.sampled_from(["json", "dot", "csv"]))]
+    return argv
+
+
+@given(command_lines())
+def test_fuzzed_command_lines_never_escape_main(argv):
+    code, out, err = run(*argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert len(err.splitlines()) == 1, (argv, err)
+    assert run(*argv)[1] == out, argv

@@ -165,12 +165,6 @@ def test_mobius_matches_oracle():
                         assert mu == po.mobius(y, z)
 
 
-def test_homotopy_report_shape():
-    rows = sh.homotopy_report(2)
-    assert all(set(r) == {"interval", "mobius", "homotopy", "chains_checked"} for r in rows)
-    assert sum(r["chains_checked"] for r in rows) >= 1
-
-
 def test_verify_el_passes():
     for n in (1, 2, 3):
         for s in all_subsets(n):
