@@ -93,37 +93,34 @@ def _check_valid(v: Vector, n: int) -> None:
         raise ValueError(f"invalid bracket vector {v}: condition {w[0]} at {w[1]}")
 
 
+def vectors_with(n: int, values):
+    """Every valid n-vector whose coordinate k is taken from values[k], in list order.
+
+    Coordinates are set left to right, each checked by `fits_at` against the
+    earlier ones only.  Every constraint is checked once its later
+    coordinate is set, so every vector listed is valid, and a prefix that
+    breaks a constraint is dropped before it grows.  The values need not
+    cover [0, n-1] + {inf}: T_n^S and the type-A lattice are listed by
+    narrowing them.
+    """
+    v: list = [None] * n
+
+    def fill(k: int):
+        if k == n:
+            yield tuple(v)
+            return
+        for x in values[k]:
+            if fits_at(v, n, k, x):
+                v[k] = x
+                yield from fill(k + 1)
+        v[k] = None
+
+    return fill(0)
+
+
 def enumerate_vectors(n: int) -> list[Vector]:
     """All valid bracket vectors, lexicographically (inf sorts last)."""
-    values = list(range(n)) + [INF]
-    out: list[Vector] = []
-
-    def ok_prefix(prefix: list) -> bool:
-        j = len(prefix) - 1
-        for i in range(j):
-            bound = prefix[j] - (j - i)
-            if bound >= 0 and prefix[i] > bound:
-                return False
-        # (ii) checks whose referenced index is already set
-        for i in range(j + 1):
-            x = prefix[i]
-            if x != INF and x >= i + 1 and n + i - x <= j and prefix[n + i - x] != INF:
-                return False
-        return True
-
-    def rec(prefix: list) -> None:
-        if len(prefix) == n:
-            if is_valid(tuple(prefix), n):
-                out.append(tuple(prefix))
-            return
-        for x in values:
-            prefix.append(x)
-            if ok_prefix(prefix):
-                rec(prefix)
-            prefix.pop()
-
-    rec([])
-    return out
+    return list(vectors_with(n, [[*range(n), INF]] * n))
 
 
 def encode(t: TriangulationB) -> Vector:
@@ -181,7 +178,9 @@ def fits_at(v: Vector, n: int, k: int, x) -> bool:
     and (k, j), condition (ii) at k, and the condition (ii) references that
     land on k, in O(n).  Entries of v equal to None are unset and constrain
     nothing.  For a valid v this equals `is_valid(v[:k] + (x,) + v[k+1:], n)`,
-    because every other constraint is one v already satisfies.
+    because every other constraint is one v already satisfies.  It is the
+    one per-coordinate check: `vectors_with`, the cover tests of all three
+    kinds and `psi_inverse` use it (type A at size n+1, with x <= k).
     """
     if x != INF:
         # (i) with k as the larger index; the bound falls as i moves left
@@ -192,8 +191,9 @@ def fits_at(v: Vector, n: int, k: int, x) -> bool:
         if x >= k + 1 and v[n + k - x] not in (None, INF):
             return False
         # (ii) at some i < k whose reference n+i-v_i is k
-        if any(v[i] == n + i - k for i in range(k)):
-            return False
+        for i in range(k):
+            if v[i] == n + i - k:
+                return False
     for j in range(k + 1, n):
         # (i) with k as the smaller index
         if v[j] is not None and x > v[j] - (j - k) >= 0:
@@ -229,10 +229,10 @@ def upper_covers(v: Vector, n: int) -> list[Vector]:
 
 
 def covers(a: Vector, b: Vector, n: int) -> bool:
-    """True iff b covers a: one coordinate differs with no legal value between.
+    """True iff b covers a: one coordinate differs, raised to its next legal value.
 
-    Both vectors are validated in full; the values strictly between are
-    re-checked only at the changed coordinate (`fits_at`).
+    Both vectors are validated in full; the values in between are re-checked
+    only at the changed coordinate (`fits_at`).
     """
     _check_valid(a, n)
     _check_valid(b, n)
@@ -240,10 +240,7 @@ def covers(a: Vector, b: Vector, n: int) -> bool:
     if len(diffs) != 1:
         return False
     k = diffs[0]
-    if not a[k] < b[k]:
-        return False
-    between = [x for x in range(int(a[k]) + 1, n) if x < b[k]]
-    return not any(fits_at(a, n, k, x) for x in between)
+    return a[k] < b[k] and _next_value_at(a, n, k) == b[k]
 
 
 def up(f: Vector, n: int) -> Vector:

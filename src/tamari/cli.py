@@ -136,8 +136,7 @@ def cmd_hasse(args, kind) -> None:
 
 def cmd_verify(args, kind) -> int:
     kind.require(f"suite {args.suite}")
-    if args.suite == "el":
-        _check_cap(args)
+    _check_cap(args)
     report = vfy.run_suite(args.suite, kind.name, args.n, kind.s)
     _emit(args, json.dumps(report, default=str))
     return 0 if report["passed"] else 2

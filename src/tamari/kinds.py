@@ -230,15 +230,13 @@ class TypeA(Kind):
         return ta.covers_a(a, b, self.n)
 
     def upper_covers(self, v) -> list:
-        """A cover raises one coordinate to its next legal value; higher
-        coordinates first is lexicographic order."""
-        v = tuple(map(int, v))  # JSON true/false parse as 1/0
+        """A cover raises one coordinate k to its next legal value x <= k
+        (`fits_at` at size n+1); higher coordinates first is lexicographic order."""
         out = []
         for k in range(self.n, -1, -1):
             for x in range(v[k] + 1, k + 1):
-                w = v[:k] + (x,) + v[k + 1 :]
-                if ta.is_valid_a(w, self.n):
-                    out.append(w)
+                if bb.fits_at(v, self.n + 1, k, x):
+                    out.append(v[:k] + (x,) + v[k + 1 :])
                     break
         return out
 

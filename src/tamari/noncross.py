@@ -66,6 +66,8 @@ class NoncrossingPartitionB:
             isinstance(b, list) for b in data["blocks"]
         ):
             raise ValueError('"blocks" must be a list of lists')
+        if isinstance(data["n"], bool) or any(isinstance(x, bool) for b in data["blocks"] for x in b):
+            raise ValueError("partition entries must be integers, not true/false")
         try:
             n = int(data["n"])
             blocks = frozenset(frozenset(int(x) for x in b) for b in data["blocks"])

@@ -78,8 +78,14 @@ def equivalent(v, w, s, n: int) -> bool:
     return project(v, s, n) == project(w, s, n)
 
 
+def _top(n: int, s, k: int) -> int:
+    """One past the largest finite T_n^S value at coordinate k (0-based)."""
+    return n - 1 if k + 1 in s else n
+
+
 def elements_tns(n: int, s) -> list:
-    return [v for v in bb.enumerate_vectors(n) if vector_in_tns(v, n, s)]
+    """T_n^S lexicographically: the type-B vectors with no n-1 at a coordinate in S."""
+    return list(bb.vectors_with(n, [[*range(_top(n, s, k)), INF] for k in range(n)]))
 
 
 def meet_s(a, b, s, n: int):
@@ -104,20 +110,19 @@ def _check_member(v, s, n: int) -> None:
 
 
 def covers_s(a, b, s, n: int) -> bool:
-    """Cover in (T_n^S, <=): one changed coordinate, no T_n^S element between."""
+    """Cover in (T_n^S, <=): one changed coordinate, no T_n^S element between.
+
+    The finite T_n^S values in between are re-checked only at the changed
+    coordinate (`fits_at`).
+    """
     _check_member(a, s, n)
     _check_member(b, s, n)
     diffs = [k for k in range(n) if a[k] != b[k]]
     if len(diffs) != 1 or not a[diffs[0]] < b[diffs[0]]:
         return False
     k = diffs[0]
-    for x in range(int(a[k]) + 1, n):
-        if x >= b[k]:
-            break
-        w = a[:k] + (x,) + a[k + 1 :]
-        if bb.is_valid(w, n) and vector_in_tns(w, n, s):
-            return False
-    return True
+    between = range(int(a[k]) + 1, min(b[k], _top(n, s, k)))
+    return not any(bb.fits_at(a, n, k, x) for x in between)
 
 
 def upper_covers_s(v, s, n: int) -> list:

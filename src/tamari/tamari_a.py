@@ -2,9 +2,12 @@
 
 Vertices are numbered 0..n+2 clockwise with the long top edge 0--(n+2).
 The bracket vector records r_i = i-1 - v_i for i = 1..n+1, where v_i is the
-least vertex attached to i.  Kept separate from the type-B machinery: it is
-the cross-validation target and the source of the classical noncrossing
-partition bijection.
+least vertex attached to i.  The triangulations, flips and the classical
+noncrossing partition bijection are its own: they are the cross-validation
+target.  The vectors are not: a type-A vector is a type-B (n+1)-vector with
+r_i <= i-1, on which condition (ii) never applies (it needs r_i >= i), so
+enumeration and the cover tests use the type-B per-coordinate check
+`bracket_b.fits_at` at size n+1.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from . import bracket_b as bb
 from .polygon import chord, crosses
 
 Chord = tuple[int, int]
@@ -84,7 +88,7 @@ def color_a(t: TriangulationA, c: Chord) -> str:
 
 def validate_a(v: Vector, n: int):
     """Validity check; returns the violated condition or None."""
-    if len(v) != n + 1 or not all(isinstance(x, int) for x in v):
+    if len(v) != n + 1 or not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
         raise ValueError(f"need an (n+1)-tuple of integers, got {v}")
     for i in range(n + 1):
         if not 0 <= v[i] <= i:
@@ -101,19 +105,8 @@ def is_valid_a(v: Vector, n: int) -> bool:
 
 
 def enumerate_a(n: int) -> list[Vector]:
-    """All valid vectors, lexicographically.  Prefixes grow one coordinate
-    at a time, each new one checked against condition (i) with the earlier
-    ones only, so every kept prefix is valid and so is every full vector."""
-    out: list[Vector] = [()]
-    for j in range(n + 1):
-        out = [
-            p + (x,)
-            for p in out
-            for x in range(j + 1)
-            # (i) binds the pairs (i, j) with j - i <= x
-            if all(p[i] <= x - (j - i) for i in range(max(0, j - x), j))
-        ]
-    return out
+    """All valid vectors, lexicographically: type-B (n+1)-vectors with r_i <= i-1."""
+    return list(bb.vectors_with(n + 1, [range(k + 1) for k in range(n + 1)]))
 
 
 def encode_a(t: TriangulationA) -> Vector:
@@ -179,15 +172,14 @@ def leq_a(a: Vector, b: Vector) -> bool:
 
 
 def covers_a(a: Vector, b: Vector, n: int) -> bool:
+    """One changed coordinate k, with no legal value in between (`fits_at`, x <= k)."""
     diffs = [k for k in range(n + 1) if a[k] != b[k]]
     if len(diffs) != 1:
         return False
     k = diffs[0]
     if not a[k] < b[k]:
         return False
-    return not any(
-        is_valid_a(a[:k] + (x,) + a[k + 1 :], n) for x in range(a[k] + 1, b[k])
-    )
+    return not any(bb.fits_at(a, n + 1, k, x) for x in range(a[k] + 1, min(b[k], k + 1)))
 
 
 def up_a(x: Vector, n: int) -> Vector:

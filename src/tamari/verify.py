@@ -113,11 +113,12 @@ def suite_covers(kind: str, n: int, s=()) -> dict:
 
 
 def suite_bijection(kind: str, n: int, s=()) -> dict:
-    """psi is injective with image exactly NC^B_n; inverses compose to id."""
+    """psi is injective with image exactly NC^B_n (restricted by S); inverses compose to id."""
+    lat = lattice_kind(kind, n, s)
     failures: list[str] = []
     checked = 0
-    if isinstance(lattice_kind(kind, n, s), TypeA):  # witness: the classical psi_a
-        vecs = ta.enumerate_a(n)
+    vecs = lat.elements()
+    if isinstance(lat, TypeA):  # witness: the classical psi_a
         seen = set()
         for v in vecs:
             p = ta.psi_a(ta.decode_a(v, n))
@@ -127,8 +128,7 @@ def suite_bijection(kind: str, n: int, s=()) -> dict:
             seen.add(p)
         if len(seen) != ta.catalan(n + 1):
             failures.append(f"|image| = {len(seen)} != catalan({n + 1})")
-    else:  # witness: psi onto the enumerated NC^B, on all of T_n^B
-        vecs = bb.enumerate_vectors(n)
+    else:  # witness: psi from T_n^S onto the enumerated NC^B partitions that S allows
         images = {}
         for v in vecs:
             p = nc.psi(bb.decode(v, n))
@@ -138,7 +138,7 @@ def suite_bijection(kind: str, n: int, s=()) -> dict:
             if p.blocks in images:
                 failures.append(f"psi not injective at {v} / {images[p.blocks]}")
             images[p.blocks] = v
-        ncb = nc.enumerate_ncb(n)
+        ncb = [p for p in nc.enumerate_ncb(n) if nc.in_bds(p, lat.s)]
         if {p.blocks for p in ncb} != set(images):
             failures.append("image of psi differs from enumerated NC^B")
         for p in ncb:
@@ -199,7 +199,7 @@ def suite_congruence(n: int, s=()) -> dict:
     s = _parse_s(s)
     failures: list[str] = []
     checked = 0
-    vecs = bb.enumerate_vectors(n)
+    vecs = sh.lattice_elements(n, frozenset())
     elems = list(sh.lattice_elements(n, s))
     pairs = [(v, q.project(v, s, n)) for v in vecs if q.project(v, s, n) != v]
     for v, w in pairs:
@@ -248,10 +248,6 @@ def run_suite(name: str, kind: str, n: int, s=()) -> dict:
     out = _RUNNERS[name](kind, n, s)
     out.update({"type": kind, "n": n, "s": sorted(_parse_s(s))})
     return out
-
-
-def count_elements(kind: str, n: int, s=()) -> int:
-    return lattice_kind(kind, n, s).count()
 
 
 def triple_count_check(n: int) -> dict:

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import all_subsets
 from tamari import bracket_b as bb
+from tamari import quotient_bds as q
+from tamari import tamari_a as ta
 from tamari import tri_b
 from tamari.bracket_b import INF
 
@@ -53,6 +56,17 @@ def test_decode_examples():
 def test_enumeration_counts_match_binomial():
     for n in range(1, 7):
         assert len(bb.enumerate_vectors(n)) == math.comb(2 * n, n)
+
+
+def test_enumerators_equal_filtered_products():
+    """The prefix-pruned enumerators list exactly the valid tuples, in product order."""
+    for n in range(1, 6):
+        valid = [v for v in all_tuples(n) if bb.is_valid(v, n)]
+        assert bb.enumerate_vectors(n) == valid
+        for s in all_subsets(n):
+            assert q.elements_tns(n, s) == [v for v in valid if q.vector_in_tns(v, n, s)]
+        boxes = itertools.product(range(n + 1), repeat=n + 1)
+        assert ta.enumerate_a(n) == [v for v in boxes if ta.is_valid_a(v, n)]
 
 
 def test_encode_decode_bijection(vectors_by_n, triangulations_by_n):

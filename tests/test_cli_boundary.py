@@ -55,6 +55,8 @@ def python(*args, **kwargs):
         ["encode", "--type", "a", "--triangulation", '{"n": 2, "chords": [5]}'],
         ["decode", "--n", "3", "--vector", "[" * 100_000],
         ["decode", "--n", "3", "--vector", '"a\\nb"'],
+        ["meet", "--type", "a", "--n", "2", "--vector", "[false,false,false]", "--other", "[0,0,0]"],
+        ["psi-inv", "--partition", '{"n": true, "blocks": [["1"],["-1"]]}'],
     ],
 )
 def test_malformed_input_is_one_error_line(argv):
@@ -80,6 +82,16 @@ def test_enumerate_and_bds_count_refuse_above_the_cap():
         code, out, err = run(*argv)
         assert code == 1 and out == "", argv
         assert len(err.splitlines()) == 1 and f"more than {MAX_ELEMENTS}" in err, argv
+
+
+def test_every_suite_refuses_n_above_the_cap():
+    for argv in (
+        ["verify", "leftmod", "--type", "bds", "--n", "7", "--s", "1"],
+        ["verify", "lattice", "--n", "7"],
+    ):
+        code, out, err = run(*argv)
+        assert code == 1 and out == "", argv
+        assert len(err.splitlines()) == 1 and "exceeds the cap 6" in err, argv
 
 
 def test_type_a_upper_covers_match_the_cover_relation():

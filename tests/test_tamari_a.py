@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from tamari import bracket_b as bb
 from tamari import tamari_a as ta
 from tamari.oracle import FinitePoset
 
@@ -116,3 +117,13 @@ def test_psi_a_bijective():
 def test_json_round_trip():
     t = ta.decode_a(FIG1, 4)
     assert ta.TriangulationA.from_json(t.to_json()) == t
+
+
+def test_fits_at_is_the_type_a_check_at_size_n_plus_1():
+    # a type-A vector is a type-B (n+1)-vector with r_i <= i-1: enumerate_a relies on it
+    for n in range(1, 7):
+        for v in ta.enumerate_a(n):
+            for k in range(n + 1):
+                for x in range(k + 1):
+                    w = v[:k] + (x,) + v[k + 1 :]
+                    assert bb.fits_at(v, n + 1, k, x) == ta.is_valid_a(w, n)

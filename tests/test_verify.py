@@ -1,4 +1,7 @@
+from conftest import all_subsets
+from tamari import quotient_bds as q
 from tamari import verify as vfy
+from tamari.kinds import lattice_kind
 
 
 def test_triple_count_check():
@@ -25,6 +28,15 @@ def test_suite_bijection():
     assert vfy.suite_bijection("a", 4)["passed"]
 
 
+def test_suite_bijection_restricts_to_tns():
+    for n in (1, 2, 3):
+        for s in all_subsets(n):
+            rep = vfy.suite_bijection("bds", n, s)
+            assert rep["passed"], (n, s, rep["failures"][:1])
+            assert rep["checked"] == 2 * len(q.elements_tns(n, s))
+    assert vfy.suite_bijection("bds", 3, (1, 3))["checked"] == 32
+
+
 def test_suite_leftmod_and_el():
     assert vfy.suite_leftmod(3)["passed"]
     assert vfy.suite_leftmod(3, (3,))["passed"]
@@ -42,6 +54,6 @@ def test_suite_congruence_reports_erratum():
 
 
 def test_count_elements():
-    assert vfy.count_elements("b", 3) == 20
-    assert vfy.count_elements("a", 3) == 14
-    assert vfy.count_elements("bds", 3, (3,)) == 18
+    assert lattice_kind("b", 3).count() == 20
+    assert lattice_kind("a", 3).count() == 14
+    assert lattice_kind("bds", 3, (3,)).count() == 18
