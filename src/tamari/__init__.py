@@ -7,6 +7,7 @@ module map and the CLI (`python -m tamari`).
 
 from math import inf as INF
 
+from . import bracket_b as _bb
 from .bracket_b import (
     bottom_vector,
     covers,
@@ -15,14 +16,22 @@ from .bracket_b import (
     encode,
     enumerate_vectors,
     is_valid,
-    join,
     leq,
-    meet,
     top_vector,
     up,
 )
 from .noncross import NoncrossingPartitionB, enumerate_ncb, in_bds, psi, psi_inverse
 from .tri_b import TriangulationB, covers_by_flip, flip
+
+
+def meet(a, b, n):
+    """Meet in T_n^B; unlike `bracket_b.meet`, both inputs are validated."""
+    return _bb.meet(_bb._check_valid(a, n), _bb._check_valid(b, n), n)
+
+
+def join(a, b, n):
+    """Join in T_n^B; unlike `bracket_b.join`, both inputs are validated."""
+    return _bb.join(_bb._check_valid(a, n), _bb._check_valid(b, n), n)
 
 
 def __getattr__(name):

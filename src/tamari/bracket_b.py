@@ -87,10 +87,11 @@ def in_m2(v: Vector, n: int) -> bool:
     return True
 
 
-def _check_valid(v: Vector, n: int) -> None:
+def _check_valid(v: Vector, n: int) -> Vector:
     w = violation(v, n)
     if w is not None:
         raise ValueError(f"invalid bracket vector {v}: condition {w[0]} at {w[1]}")
+    return v
 
 
 def vectors_with(n: int, values):
@@ -252,19 +253,24 @@ def up(f: Vector, n: int) -> Vector:
     """
     if not in_m2(f, n):
         raise ValueError(f"up is only defined on vectors satisfying (ii): {f}")
+    result = _up(f, n)
+    _check_valid(result, n)
+    return result
+
+
+def _up(f: Vector, n: int) -> Vector:
+    """`up` without its checks: f must satisfy (ii)."""
     g: list = []
     for i in range(n):
         best = f[i]
         if best != INF:
-            jmax = min(int(f[i]), i)
-            for j in range(1, jmax + 1):
-                best = max(best, g[i - j] + j)
+            for j in range(1, min(int(f[i]), i) + 1):
+                if g[i - j] + j > best:
+                    best = g[i - j] + j
             if best >= n:
                 best = INF
         g.append(best)
-    result = tuple(g)
-    _check_valid(result, n)
-    return result
+    return tuple(g)
 
 
 def down(f: Vector, n: int) -> Vector:
@@ -275,6 +281,13 @@ def down(f: Vector, n: int) -> Vector:
     """
     if not in_m1(f, n):
         raise ValueError(f"down is only defined on vectors satisfying (i): {f}")
+    result = _down(f, n)
+    _check_valid(result, n)
+    return result
+
+
+def _down(f: Vector, n: int) -> Vector:
+    """`down` without its checks: f must satisfy (i)."""
     g = []
     for i in range(n):
         x = f[i]
@@ -283,17 +296,19 @@ def down(f: Vector, n: int) -> Vector:
             while x >= i + 1 and f[n + i - x] != INF:
                 x -= 1
         g.append(x)
-    result = tuple(g)
-    _check_valid(result, n)
-    return result
+    return tuple(g)
 
 
 def meet(a: Vector, b: Vector, n: int) -> Vector:
-    return down(tuple(min(x, y) for x, y in zip(a, b, strict=True)), n)
+    """`down` of the componentwise min, which satisfies (i) for valid inputs.
+    It checks nothing, so it is defined only on valid inputs; `tamari.meet` checks them."""
+    return _down(tuple([x if x < y else y for x, y in zip(a, b, strict=True)]), n)
 
 
 def join(a: Vector, b: Vector, n: int) -> Vector:
-    return up(tuple(max(x, y) for x, y in zip(a, b, strict=True)), n)
+    """`up` of the componentwise max, which satisfies (ii) for valid inputs.
+    It checks nothing, so it is defined only on valid inputs; `tamari.join` checks them."""
+    return _up(tuple([x if x > y else y for x, y in zip(a, b, strict=True)]), n)
 
 
 def bottom_vector(n: int) -> Vector:

@@ -110,9 +110,6 @@ class TypeB(Kind):
 
     # -- order and operations -----------------------------------------------
 
-    def leq(self, a, b) -> bool:
-        return bb.leq(a, b)
-
     def meet(self, a, b):
         return bb.meet(a, b, self.n)
 
@@ -216,9 +213,6 @@ class TypeA(Kind):
 
     def _elements(self):
         return ta.enumerate_a(self.n)
-
-    def leq(self, a, b) -> bool:
-        return ta.leq_a(a, b)
 
     def meet(self, a, b):
         return ta.meet_a(a, b, self.n)

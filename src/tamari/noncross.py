@@ -66,14 +66,12 @@ class NoncrossingPartitionB:
             isinstance(b, list) for b in data["blocks"]
         ):
             raise ValueError('"blocks" must be a list of lists')
-        if isinstance(data["n"], bool) or any(isinstance(x, bool) for b in data["blocks"] for x in b):
-            raise ValueError("partition entries must be integers, not true/false")
-        try:
-            n = int(data["n"])
-            blocks = frozenset(frozenset(int(x) for x in b) for b in data["blocks"])
-        except (TypeError, OverflowError) as e:
-            raise ValueError(f"partition entries must be integers: {e}") from e
-        return cls(n, blocks)
+        for x in [data["n"], *(x for b in data["blocks"] for x in b)]:
+            if isinstance(x, bool) or not isinstance(x, (int, str)):
+                raise ValueError(f"partition entries must be integers, got {x!r}")
+        # an integer string such as "-2" reads as its integer
+        blocks = frozenset(frozenset(int(x) for x in b) for b in data["blocks"])
+        return cls(int(data["n"]), blocks)
 
 
 def circle_pos(x: int, n: int) -> int:

@@ -1,10 +1,14 @@
 """Brute-force finite poset engine: the independent ground truth.
 
-Elements are opaque keys; the only input is a leq predicate, which is
-materialized into a dense boolean matrix and checked against the poset
-axioms.  Meets, joins, Mobius values and join irreducibles are computed
-by direct order-theoretic scans, never from bracket-vector formulas.
-This module must not import the rest of the package.
+Elements are opaque keys; the only input is the order relation, as a dense
+boolean matrix (`FinitePoset(elements, matrix)`) or as a leq predicate that
+`FinitePoset.build` materializes into one.  Every matrix is checked against
+the poset axioms.  Meets, joins, Mobius values and join irreducibles are
+computed by direct order-theoretic scans, never from bracket-vector
+formulas.  `all_meets`/`all_joins` return N x N index tables in element
+order, with -1 where no meet or join exists, found by hashing down-sets
+(up-sets) as packed bit rows.  This module must not import the rest of the
+package.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ class FinitePoset:
             raise PosetError(f"relation shape {self.leq.shape} != ({n}, {n})")
         self._validate()
         lt = self.leq & ~np.eye(n, dtype=bool)
-        self.covers = lt & ~(lt @ lt)
+        self.covers = lt & ~_bool_product(lt, lt)
         self._mobius_rows: dict[int, np.ndarray] = {}
 
     @classmethod
@@ -52,7 +56,7 @@ class FinitePoset:
                 raise PosetError(
                     f"not antisymmetric: {self.elements[i]!r} and {self.elements[j]!r}"
                 )
-        closure = self.leq @ self.leq
+        closure = _bool_product(self.leq, self.leq)
         bad = closure & ~self.leq
         idx = np.argwhere(bad)
         if len(idx):
@@ -104,40 +108,17 @@ class FinitePoset:
         return self._extreme(self.leq[i, :] & self.leq[j, :], upper=False)
 
     def is_lattice(self) -> bool:
-        n = len(self)
-        return all(
-            self.meet(self.elements[i], self.elements[j]) is not None
-            and self.join(self.elements[i], self.elements[j]) is not None
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        return bool((self.all_meets() >= 0).all() and (self.all_joins() >= 0).all())
 
-    def all_meets(self) -> dict:
-        """Meets of all pairs at once, via down-set hashing."""
-        n = len(self)
-        downsets = {self.leq[:, k].tobytes(): k for k in range(n)}
-        out = {}
-        for i in range(n):
-            for j in range(i, n):
-                d = (self.leq[:, i] & self.leq[:, j]).tobytes()
-                k = downsets.get(d)
-                m = self.elements[k] if k is not None else None
-                out[(self.elements[i], self.elements[j])] = m
-                out[(self.elements[j], self.elements[i])] = m
-        return out
+    def all_meets(self) -> np.ndarray:
+        """Index table of all meets: [i, j] is the index of the meet of
+        elements i and j, or -1.  The meet is the element whose down-set
+        equals the intersection of theirs."""
+        return _bound_table(self.leq.T)
 
-    def all_joins(self) -> dict:
-        n = len(self)
-        upsets = {self.leq[k, :].tobytes(): k for k in range(n)}
-        out = {}
-        for i in range(n):
-            for j in range(i, n):
-                u = (self.leq[i, :] & self.leq[j, :]).tobytes()
-                k = upsets.get(u)
-                m = self.elements[k] if k is not None else None
-                out[(self.elements[i], self.elements[j])] = m
-                out[(self.elements[j], self.elements[i])] = m
-        return out
+    def all_joins(self) -> np.ndarray:
+        """Index table of all joins, as `all_meets`, by up-sets."""
+        return _bound_table(self.leq)
 
     def _mobius_row(self, i: int) -> np.ndarray:
         """mu(elements[i], -) by the standard recursion, in one sweep."""
@@ -179,13 +160,37 @@ class FinitePoset:
         joins = self.all_joins()
         by_joins = set()
         for j, e in enumerate(self.elements):
-            strictly_below = [
-                self.elements[i] for i in np.nonzero(self.leq[:, j])[0] if i != j
-            ]
-            if strictly_below and not any(
-                joins[(x, y)] == e for x in strictly_below for y in strictly_below
-            ):
+            below = np.nonzero(self.leq[:, j])[0]
+            below = below[below != j]
+            if len(below) and not (joins[np.ix_(below, below)] == j).any():
                 by_joins.add(e)
         if by_covers != by_joins:
             raise PosetError("join-irreducible characterizations disagree")
         return by_covers
+
+
+def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean matrix product, as a float32 BLAS product: exact, since every
+    entry counts at most N < 2**24 terms."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
+def _bound_table(sets: np.ndarray) -> np.ndarray:
+    """[i, j] = the k whose row sets[k] equals sets[i] & sets[j], else -1.
+
+    Rows are packed to bytes and compared as opaque keys: sorted once, then
+    one vectorised searchsorted per row i.  The rows are distinct, because
+    the relation is antisymmetric.
+    """
+    n = len(sets)
+    packed = np.ascontiguousarray(np.packbits(sets, axis=1))
+    key = np.dtype((np.void, packed.shape[1]))
+    keys = packed.view(key).ravel()
+    order = np.argsort(keys)
+    ranked = keys[order]
+    out = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        want = (packed[i] & packed).view(key).ravel()
+        pos = np.minimum(np.searchsorted(ranked, want), n - 1)
+        out[i] = np.where(ranked[pos] == want, order[pos], -1)
+    return out

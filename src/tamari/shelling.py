@@ -58,13 +58,11 @@ def label_order(n: int) -> list[Label]:
 
 
 def join_irreducibles(n: int, s=frozenset()) -> list[tuple[Label, tuple]]:
-    """Irreducibles of T_n^S in label order: keep i not in s or t != n-1."""
-    out = []
-    for i, t in label_order(n):
-        if i in s and t == n - 1:
-            continue
-        out.append(((i, t), w_vector(n, i, t)))
-    return out
+    """Irreducibles of T_n^S in label order: no i in s with t = n-1, and not the bottom."""
+    # the bottom can be a W: W_{1,inf} is the one element of T_1^S for S = {1}
+    bottom = q.project(bb.bottom_vector(n), s, n)
+    irr = [((i, t), w_vector(n, i, t)) for i, t in label_order(n) if not (i in s and t == n - 1)]
+    return [(lab, w) for lab, w in irr if w != bottom]
 
 
 def left_modular_chain(n: int, s=frozenset()) -> list[tuple]:

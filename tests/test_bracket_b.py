@@ -2,10 +2,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tamari
 from conftest import all_subsets
 from tamari import bracket_b as bb
 from tamari import quotient_bds as q
@@ -182,6 +184,18 @@ def test_meet_join_examples():
         assert bb.meet(a, a, 3) == a == bb.join(a, a, 3)
 
 
+def test_exported_meet_join_validate_their_inputs():
+    # bb.meet/bb.join check nothing; the package-level names check both inputs
+    assert tamari.meet((0, 1, 0), (0, 0, 1), 3) == (0, 0, 0)
+    assert tamari.join((0, 1, 0), (0, 0, 1), 3) == (0, 1, 2)
+    for bad in ((5, 5, 5), (0, 2, 0), (-1, 0, 0)):
+        for op in (tamari.meet, tamari.join):
+            with pytest.raises(ValueError):
+                op(bad, (0, 0, 0), 3)
+            with pytest.raises(ValueError):
+                op((0, 0, 0), bad, 3)
+
+
 def test_lattice_algebra_exhaustive_small(vectors_by_n):
     for n in (1, 2, 3, 4):
         vecs = vectors_by_n[n]
@@ -208,6 +222,40 @@ def test_lattice_algebra_sampled_n5(vectors_by_n):
         assert bb.meet(bb.meet(a, b, 5), c, 5) == bb.meet(a, bb.meet(b, c, 5), 5)
         assert bb.join(a, bb.meet(a, b, 5), 5) == a
         assert bb.meet(a, bb.join(a, b, 5), 5) == a
+
+
+def _conditions(f):
+    """(satisfies (i), satisfies (ii)) for each n-vector along the last axis."""
+    n = f.shape[-1]
+    m1 = np.ones(f.shape[:-1], dtype=bool)
+    m2 = np.ones(f.shape[:-1], dtype=bool)
+    for i, j in itertools.combinations(range(n), 2):
+        bound = f[..., j] - (j - i)
+        m1 &= (bound < 0) | (f[..., i] <= bound)
+    for i in range(n):
+        for x in range(i + 1, n):
+            m2 &= (f[..., i] != x) | np.isinf(f[..., n + i - x])
+    return m1, m2
+
+
+def test_meet_join_preconditions_hold_without_their_checks(vectors_by_n):
+    # meet/join call the unchecked kernels of down/up: the min of two valid
+    # vectors must satisfy (i) and the max (ii), for every pair at n <= 6
+    for n in (1, 2, 3, 4):
+        tuples = list(all_tuples(n))
+        m1, m2 = _conditions(np.array(tuples, dtype=float))
+        assert m1.tolist() == [bb.in_m1(f, n) for f in tuples]
+        assert m2.tolist() == [bb.in_m2(f, n) for f in tuples]
+    for n in range(1, 7):
+        a = np.array(bb.enumerate_vectors(n), dtype=float)
+        assert _conditions(np.minimum(a[:, None], a[None]))[0].all()
+        assert _conditions(np.maximum(a[:, None], a[None]))[1].all()
+    # and they agree with the checked down(min) / up(max)
+    for n in range(1, 6):
+        vecs = vectors_by_n[n]
+        for a, b in itertools.combinations_with_replacement(vecs, 2):
+            assert bb.meet(a, b, n) == bb.down(tuple(map(min, a, b)), n)
+            assert bb.join(a, b, n) == bb.up(tuple(map(max, a, b)), n)
 
 
 def test_cover_red_set_consequences(vectors_by_n, triangulations_by_n):

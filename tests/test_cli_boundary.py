@@ -57,6 +57,8 @@ def python(*args, **kwargs):
         ["decode", "--n", "3", "--vector", '"a\\nb"'],
         ["meet", "--type", "a", "--n", "2", "--vector", "[false,false,false]", "--other", "[0,0,0]"],
         ["psi-inv", "--partition", '{"n": true, "blocks": [["1"],["-1"]]}'],
+        ["psi-inv", "--partition", '{"n": 1.9, "blocks": [[1.5],["-1"]]}'],
+        ["psi-inv", "--partition", '{"n": 1, "blocks": [[1.0],["-1"]]}'],
     ],
 )
 def test_malformed_input_is_one_error_line(argv):

@@ -41,15 +41,25 @@ def test_bowtie_is_not_a_lattice():
     assert po.join("a", "b") is None
     assert po.meet("c", "d") is None
     assert not po.is_lattice()
+    # the index tables hold -1 exactly where the scans find no bound
+    meets, joins = po.all_meets(), po.all_joins()
+    assert (meets == -1).any() and (joins == -1).any()
+    for i, x in enumerate(po.elements):
+        for j, y in enumerate(po.elements):
+            for table, scan in ((meets, po.meet), (joins, po.join)):
+                k = table[i, j]
+                assert (k == -1) == (scan(x, y) is None)
+                assert k == -1 or po.elements[k] == scan(x, y)
 
 
 def test_meet_join_scan_and_bulk_agree():
     po = divisibility([1, 2, 3, 4, 6, 12])
     meets, joins = po.all_meets(), po.all_joins()
-    for a in po.elements:
-        for b in po.elements:
-            assert po.meet(a, b) == meets[(a, b)]
-            assert po.join(a, b) == joins[(a, b)]
+    named = [*po.elements, None]  # index -1, no meet or join, reads as None
+    for i, a in enumerate(po.elements):
+        for j, b in enumerate(po.elements):
+            assert po.meet(a, b) == named[meets[i, j]]
+            assert po.join(a, b) == named[joins[i, j]]
     assert po.meet(4, 6) == 2 and po.join(4, 6) == 12
     assert po.meet(4, 4) == 4
 

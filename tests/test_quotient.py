@@ -69,10 +69,10 @@ def test_lattice_ops_match_subposet_oracle():
             po = FinitePoset.build(elems, bb.leq)
             assert po.is_lattice()
             meets, joins = po.all_meets(), po.all_joins()
-            for a in elems:
-                for b in elems:
-                    assert q.meet_s(a, b, s, n) == meets[(a, b)]
-                    assert q.join_s(a, b, s, n) == joins[(a, b)]
+            for i, a in enumerate(elems):
+                for j, b in enumerate(elems):
+                    assert q.meet_s(a, b, s, n) == elems[meets[i, j]]
+                    assert q.join_s(a, b, s, n) == elems[joins[i, j]]
 
 
 def test_covers_examples():

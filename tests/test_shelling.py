@@ -28,8 +28,6 @@ def test_irreducible_vectors_n3():
 def test_irreducibles_match_oracle():
     for n in (1, 2, 3, 4):
         for s in all_subsets(n):
-            if n == 1 and s == frozenset({1}):
-                continue  # one-element lattice; see ledger
             elems = list(sh.lattice_elements(n, s))
             po = FinitePoset.build(elems, bb.leq)
             assert po.join_irreducible_elements() == {
@@ -73,9 +71,7 @@ def test_chain_is_unrefinable():
             assert ch[-1] == bb.top_vector(n)
             for a, b in zip(ch, ch[1:]):
                 assert q.covers_s(a, b, s, n)
-            assert len(ch) - 1 == len(sh.join_irreducibles(n, s)) or (
-                n == 1 and s == frozenset({1})
-            )
+            assert len(ch) - 1 == len(sh.join_irreducibles(n, s))
 
 
 def test_chain_elements_left_modular():

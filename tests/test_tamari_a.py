@@ -101,10 +101,11 @@ def test_lattice_ops_match_oracle():
         vecs = ta.enumerate_a(n)
         po = FinitePoset.build(vecs, ta.leq_a)
         meets, joins = po.all_meets(), po.all_joins()
-        for a in vecs:
-            for b in vecs:
-                assert ta.meet_a(a, b, n) == meets[(a, b)]
-                assert ta.join_a(a, b, n) == joins[(a, b)]
+        named = [*vecs, None]  # index -1, no meet or join, reads as None
+        for i, a in enumerate(vecs):
+            for j, b in enumerate(vecs):
+                assert ta.meet_a(a, b, n) == named[meets[i, j]]
+                assert ta.join_a(a, b, n) == named[joins[i, j]]
 
 
 def test_psi_a_bijective():
