@@ -127,9 +127,6 @@ class TypeB(Kind):
         return sh.el_label(a, b, self.n, self.s)
 
     def mobius(self, y, z) -> dict:
-        for v in (y, z):
-            if not q.vector_in_tns(v, self.n, self.s):
-                raise ValueError(f"{bb.vector_to_json(v)} is not in T_n^S for s={sorted(self.s)}")
         if not bb.leq(y, z):
             raise ValueError("first vector must be below the second")
         h = sh.interval_homotopy(y, z, self.n, self.s)
@@ -147,8 +144,9 @@ class TypeB(Kind):
     def encode(self, t) -> tuple:
         return bb.encode(t)
 
-    def covers_by_flip(self, t, u) -> bool:
-        return tri_b.covers_by_flip(t, u)
+    def green_flips(self, t) -> set:
+        """The upper covers of a triangulation in the flip graph."""
+        return tri_b.green_flips(t)
 
     def psi_json(self, v):
         return nc.psi(bb.decode(v, self.n)).to_json()
@@ -165,27 +163,30 @@ class TypeB(Kind):
 class TypeBDS(TypeB):
     """The pseudo-type BD_n^S lattice T_n^S, a subposet of T_n^B.
 
-    Vectors parse as type-B vectors; the operations check membership in
-    T_n^S.  Upper covers come out sorted, also for S empty.
+    A vector parses only if it lies in T_n^S, so the operations, which
+    take members, check nothing.  Upper covers come out sorted, also for
+    S empty.
     """
 
     name = "bds"
     suites = ("lattice", "covers", "bijection", "leftmod", "el", "congruence")
 
+    def parse_vector(self, text: str) -> tuple:
+        v = super().parse_vector(text)
+        q.check_member(v, self.s, self.n)
+        return v
+
     def count(self) -> int:
         return len(self.elements())
 
-    def meet(self, a, b):
-        return q.meet_s(a, b, self.s, self.n)
-
     def join(self, a, b):
-        return q.join_s(a, b, self.s, self.n)
+        return q._join_s(a, b, self.s, self.n)
 
     def covers(self, a, b) -> bool:
-        return q.covers_s(a, b, self.s, self.n)
+        return q._covers_s(a, b, self.s, self.n)
 
     def upper_covers(self, v) -> list:
-        return q.upper_covers_s(v, self.s, self.n)
+        return q._upper_covers_s(v, self.s, self.n)
 
 
 class TypeA(Kind):
@@ -243,8 +244,8 @@ class TypeA(Kind):
     def encode(self, t) -> tuple:
         return ta.encode_a(t)
 
-    def covers_by_flip(self, t, u) -> bool:
-        return ta.covers_by_flip_a(t, u)
+    def green_flips(self, t) -> set:
+        return ta.green_flips_a(t)
 
     def psi_json(self, v):
         return ta.partition_a_to_json(ta.psi_a(ta.decode_a(v, self.n)))

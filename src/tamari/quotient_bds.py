@@ -12,6 +12,12 @@ vector to its class top.
 but not with meet, so it is not a lattice congruence (README "Known
 erratum").  T_n^S is still a lattice: it is closed under the type-B meet,
 which it inherits, and its join is the projection of the type-B join.
+
+Each operation is a membership check of its operands plus a kernel
+(`_join_s`, ...) that checks nothing and is defined only on members of
+T_n^S; the kernel of `meet_s` is the type-B `meet`.  Callers that already
+hold members (the enumerated lattice, the CLI after parsing) call the
+kernels.
 """
 
 from __future__ import annotations
@@ -52,14 +58,19 @@ def vector_in_tns(v, n: int, s) -> bool:
 
 def project(v, s, n: int):
     """Top of the ~_S class: each n-1 entry at a coordinate in s becomes inf."""
+    result = _project(v, s, n)
+    if not bb.is_valid(result, n):
+        raise AssertionError(f"projection of {v} left the lattice: {result}")
+    return result
+
+
+def _project(v, s, n: int):
+    """`project` without its check: v must be a valid type-B vector."""
     out = list(v)
     for k in s:
         if out[k - 1] == n - 1:
             out[k - 1] = INF
-    result = tuple(out)
-    if not bb.is_valid(result, n):
-        raise AssertionError(f"projection of {v} left the lattice: {result}")
-    return result
+    return tuple(out)
 
 
 def class_of(v, s, n: int) -> frozenset:
@@ -88,25 +99,28 @@ def elements_tns(n: int, s) -> list:
     return list(bb.vectors_with(n, [[*range(_top(n, s, k)), INF] for k in range(n)]))
 
 
+def check_member(v, s, n: int) -> None:
+    """Raise ValueError unless v is a valid type-B vector in T_n^S."""
+    if not bb.is_valid(v, n) or not vector_in_tns(v, n, s):
+        raise ValueError(f"{v} is not in T_n^S for s={sorted(s)}")
+
+
 def meet_s(a, b, s, n: int):
     """Meet in T_n^S: inherited from T_n^B, which T_n^S is closed under."""
-    _check_member(a, s, n)
-    _check_member(b, s, n)
-    result = bb.meet(a, b, n)
-    assert vector_in_tns(result, n, s)
-    return result
+    check_member(a, s, n)
+    check_member(b, s, n)
+    return bb.meet(a, b, n)
 
 
 def join_s(a, b, s, n: int):
     """Join in T_n^S: the projection of the type-B join."""
-    _check_member(a, s, n)
-    _check_member(b, s, n)
-    return project(bb.join(a, b, n), s, n)
+    check_member(a, s, n)
+    check_member(b, s, n)
+    return _join_s(a, b, s, n)
 
 
-def _check_member(v, s, n: int) -> None:
-    if not bb.is_valid(v, n) or not vector_in_tns(v, n, s):
-        raise ValueError(f"{v} is not in T_n^S for s={sorted(s)}")
+def _join_s(a, b, s, n: int):
+    return _project(bb.join(a, b, n), s, n)
 
 
 def covers_s(a, b, s, n: int) -> bool:
@@ -115,8 +129,12 @@ def covers_s(a, b, s, n: int) -> bool:
     The finite T_n^S values in between are re-checked only at the changed
     coordinate (`fits_at`).
     """
-    _check_member(a, s, n)
-    _check_member(b, s, n)
+    check_member(a, s, n)
+    check_member(b, s, n)
+    return _covers_s(a, b, s, n)
+
+
+def _covers_s(a, b, s, n: int) -> bool:
     diffs = [k for k in range(n) if a[k] != b[k]]
     if len(diffs) != 1 or not a[diffs[0]] < b[diffs[0]]:
         return False
@@ -127,8 +145,9 @@ def covers_s(a, b, s, n: int) -> bool:
 
 def upper_covers_s(v, s, n: int) -> list:
     """Upward covers in T_n^S: project the type-B cover at each coordinate."""
-    _check_member(v, s, n)
-    out = []
-    for w in bb.upper_covers(v, n):
-        out.append(project(w, s, n))
-    return sorted(set(out))
+    check_member(v, s, n)
+    return _upper_covers_s(v, s, n)
+
+
+def _upper_covers_s(v, s, n: int) -> list:
+    return sorted({_project(w, s, n) for w in bb.upper_covers(v, n)})

@@ -59,10 +59,22 @@ def label_order(n: int) -> list[Label]:
 
 def join_irreducibles(n: int, s=frozenset()) -> list[tuple[Label, tuple]]:
     """Irreducibles of T_n^S in label order: no i in s with t = n-1, and not the bottom."""
+    return list(_irreducibles(n, frozenset(s)))
+
+
+@lru_cache(maxsize=None)
+def _irreducibles(n: int, s: frozenset) -> tuple:
     # the bottom can be a W: W_{1,inf} is the one element of T_1^S for S = {1}
     bottom = q.project(bb.bottom_vector(n), s, n)
     irr = [((i, t), w_vector(n, i, t)) for i, t in label_order(n) if not (i in s and t == n - 1)]
-    return [(lab, w) for lab, w in irr if w != bottom]
+    return tuple((lab, w) for lab, w in irr if w != bottom)
+
+
+@lru_cache(maxsize=None)
+def _irreducibles_at(n: int, s: frozenset) -> tuple:
+    """For each coordinate k, the irreducibles W_{k+1,t} in label order."""
+    irr = _irreducibles(n, s)
+    return tuple(tuple(x for x in irr if x[0][0] == k + 1) for k in range(n))
 
 
 def left_modular_chain(n: int, s=frozenset()) -> list[tuple]:
@@ -85,27 +97,34 @@ def lattice_elements(n: int, s=frozenset()) -> tuple:
 
 def is_left_modular(x, n: int, s=frozenset()) -> bool:
     """(y v x) ^ z == y v (x ^ z) for every comparable pair y < z."""
+    q.check_member(x, s, n)
     elems = lattice_elements(n, s)
     for y in elems:
         for z in elems:
             if y == z or not bb.leq(y, z):
                 continue
-            lhs = q.meet_s(q.join_s(y, x, s, n), z, s, n)
-            rhs = q.join_s(y, q.meet_s(x, z, s, n), s, n)
+            lhs = bb.meet(q._join_s(y, x, s, n), z, n)
+            rhs = q._join_s(y, bb.meet(x, z, n), s, n)
             if lhs != rhs:
                 return False
     return True
 
 
-def _label_rank(n: int, s) -> dict[Label, int]:
-    return {lab: k for k, (lab, _) in enumerate(join_irreducibles(n, s))}
+@lru_cache(maxsize=None)
+def _label_rank(n: int, s: frozenset) -> dict[Label, int]:
+    return {lab: k for k, (lab, _) in enumerate(_irreducibles(n, s))}
 
 
 def el_label(a, b, n: int, s=frozenset()) -> Label:
-    """Label of a cover edge: the least irreducible below b but not below a."""
+    """Label of a cover edge: the least irreducible below b but not below a.
+
+    A cover changes one coordinate k, and the label is always some
+    W_{k+1,t}, so only those irreducibles are scanned.
+    """
     if not q.covers_s(a, b, s, n):
         raise ValueError(f"{a} is not covered by {b}")
-    for lab, w in join_irreducibles(n, s):
+    k = next(k for k in range(n) if a[k] != b[k])
+    for lab, w in _irreducibles_at(n, frozenset(s))[k]:
         if bb.leq(w, b) and not bb.leq(w, a):
             return lab
     raise AssertionError("cover edge with empty irreducible set")
@@ -142,7 +161,7 @@ def decreasing_chains(y, z, n: int, s=frozenset()) -> list[list]:
     """
     if not bb.leq(y, z):
         raise ValueError(f"{y} is not below {z}")
-    rank = _label_rank(n, s)
+    rank = _label_rank(n, frozenset(s))
     out: list[list] = []
 
     def rec(chain: list, last_rank) -> None:
@@ -169,7 +188,7 @@ def decreasing_chain_build(y, z, n: int, s=frozenset()):
     it overshoots z or the labels stop decreasing."""
     if not bb.leq(y, z):
         raise ValueError(f"{y} is not below {z}")
-    rank = _label_rank(n, s)
+    rank = _label_rank(n, frozenset(s))
     chain = [y]
     last = None
     cur = y
@@ -216,7 +235,7 @@ def verify_el(n: int, s=frozenset(), labeller=None) -> dict:
     (cover pair -> comparable value) can be injected; the default is the
     least-irreducible labelling.
     """
-    rank = _label_rank(n, s)
+    rank = _label_rank(n, frozenset(s))
     if labeller is None:
         def labeller(a, b):
             return rank[el_label(a, b, n, s)]

@@ -161,10 +161,13 @@ def flip_a(t: TriangulationA, c: Chord) -> TriangulationA:
     return TriangulationA(t.n, frozenset(chords))
 
 
+def green_flips_a(t: TriangulationA) -> set[TriangulationA]:
+    """The triangulations obtained from t by flipping one green chord."""
+    return {flip_a(t, c) for c in t.chords if color_a(t, c) == "green"}
+
+
 def covers_by_flip_a(s: TriangulationA, t: TriangulationA) -> bool:
-    if s.n != t.n or s == t:
-        return False
-    return any(color_a(s, c) == "green" and flip_a(s, c) == t for c in s.chords)
+    return t in green_flips_a(s)
 
 
 def leq_a(a: Vector, b: Vector) -> bool:

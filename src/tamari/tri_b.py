@@ -256,13 +256,14 @@ def flip(t: TriangulationB, c: Chord) -> TriangulationB:
     return TriangulationB(t.n, frozenset(chords))
 
 
+def green_flips(t: TriangulationB) -> set[TriangulationB]:
+    """The triangulations obtained from t by flipping one green chord pair."""
+    return {flip(t, c) for c in t.chords if color(t, c) == GREEN}
+
+
 def covers_by_flip(s: TriangulationB, t: TriangulationB) -> bool:
     """True iff t is obtained from s by flipping a green chord pair."""
-    if s.n != t.n or s == t:
-        return False
-    return any(
-        color(s, c) == GREEN and flip(s, c) == t for c in s.chords
-    )
+    return t in green_flips(s)
 
 
 def bottom(n: int) -> TriangulationB:

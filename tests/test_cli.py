@@ -170,6 +170,17 @@ def test_psi_inv_malformed_partition(capsys, partition):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["meet", "join", "mobius"])
+@pytest.mark.parametrize("first", [True, False])
+def test_pair_commands_outside_tns(capsys, command, first):
+    bad, member = "[0,0,2]", "[0,0,0]"
+    pair = ["--vector", bad, "--other", member] if first else ["--vector", member, "--other", bad]
+    code, out, err = run(capsys, command, "--type", "bds", "--n", "3", "--s", "3", *pair)
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "not in T_n^S" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("other", [[], ["--other", '[0,0,"inf"]']])
 def test_covers_outside_tns(capsys, other):
     argv = ["covers", "--type", "bds", "--n", "3", "--s", "3", "--vector", "[0,0,2]"]

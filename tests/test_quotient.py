@@ -62,6 +62,32 @@ def test_member_check():
         q.meet_s((0, 1, 2), (0, 0, 0), frozenset({3}), 3)
 
 
+@pytest.mark.parametrize("op", [q.meet_s, q.join_s, q.covers_s])
+@pytest.mark.parametrize("first", [True, False])
+def test_pair_operations_refuse_a_non_member(op, first):
+    # (0, 0, 2) and (0, 1, 2) are type-B vectors outside T_3^{3}; (1, 1, 0) is not valid
+    s, member = frozenset({3}), (0, 0, 0)
+    for bad in ((0, 0, 2), (0, 1, 2), (1, 1, 0)):
+        pair = (bad, member) if first else (member, bad)
+        with pytest.raises(ValueError, match="not in T_n\\^S"):
+            op(*pair, s, 3)
+
+
+def test_upper_covers_refuse_a_non_member():
+    for bad in ((0, 0, 2), (1, 1, 0)):
+        with pytest.raises(ValueError, match="not in T_n\\^S"):
+            q.upper_covers_s(bad, frozenset({3}), 3)
+
+
+def test_upper_covers_are_the_hasse_covers():
+    # the projected type-B covers are exactly the members that cover v
+    for n in (1, 2, 3):
+        for s in all_subsets(n):
+            elems = q.elements_tns(n, s)
+            for v in elems:
+                assert q.upper_covers_s(v, s, n) == [w for w in elems if q.covers_s(v, w, s, n)]
+
+
 def test_lattice_ops_match_subposet_oracle():
     for n in (1, 2, 3):
         for s in all_subsets(n):

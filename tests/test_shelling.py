@@ -25,6 +25,16 @@ def test_irreducible_vectors_n3():
     assert len(got) == 8 and ((3, 2), (0, 0, 2)) not in got
 
 
+def test_irreducibles_list_is_a_copy():
+    # the irreducibles are cached; a caller's edits must not reach the cache
+    for s in (frozenset(), frozenset({3})):
+        want = list(sh.join_irreducibles(3, s))
+        got = sh.join_irreducibles(3, s)
+        got[0] = None
+        got.append(((1, 1), (0, 0, 0)))
+        assert sh.join_irreducibles(3, s) == want
+
+
 def test_irreducibles_match_oracle():
     for n in (1, 2, 3, 4):
         for s in all_subsets(n):
@@ -109,6 +119,18 @@ def test_label_coordinate_is_cover_coordinate():
                     k = next(i for i in range(n) if a[i] != b[i])
                     lab = sh.el_label(a, b, n, s)
                     assert lab[0] == k + 1
+
+
+def test_el_label_rule_matches_definition():
+    # el_label scans only the W_{k+1,t} at the changed coordinate k; the
+    # definition scans all n^2 irreducibles: every cover, n <= 5, every s
+    for n in range(1, 6):
+        for s in all_subsets(n):
+            irr = sh.join_irreducibles(n, s)
+            for a in sh.lattice_elements(n, s):
+                for b in q.upper_covers_s(a, s, n):
+                    least = next(lab for lab, w in irr if bb.leq(w, b) and not bb.leq(w, a))
+                    assert sh.el_label(a, b, n, s) == least
 
 
 def test_gamma_chain_labelling_agrees():
