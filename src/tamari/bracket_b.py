@@ -179,7 +179,7 @@ def fits_at(v: Vector, n: int, k: int, x) -> bool:
     nothing.  For a valid v this equals `is_valid(v[:k] + (x,) + v[k+1:], n)`,
     because every other constraint is one v already satisfies.  It is the
     one per-coordinate check: `vectors_with`, the cover tests of all three
-    kinds and `psi_inverse` use it (type A at size n+1, with x <= k).
+    kinds and `psi_inverse` use it (type A at size n+1).
     """
     if x != INF:
         # (i) with k as the larger index; the bound falls as i moves left
@@ -228,13 +228,16 @@ def upper_covers(v: Vector, n: int) -> list[Vector]:
 
 
 def covers(a: Vector, b: Vector, n: int) -> bool:
-    """True iff b covers a: one coordinate differs, raised to its next legal value.
+    """True iff b covers a; both are validated in full, then `_covers` decides."""
+    return _covers(_check_valid(a, n), _check_valid(b, n), n)
 
-    Both vectors are validated in full; the values in between are re-checked
-    only at the changed coordinate (`fits_at`).
+
+def _covers(a: Vector, b: Vector, n: int) -> bool:
+    """`covers` without its checks: a and b must be valid.
+
+    b covers a iff one coordinate differs, raised to its next legal value;
+    the values in between are checked only at that coordinate (`fits_at`).
     """
-    _check_valid(a, n)
-    _check_valid(b, n)
     diffs = [k for k in range(n) if a[k] != b[k]]
     if len(diffs) != 1:
         return False

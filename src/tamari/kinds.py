@@ -1,12 +1,14 @@
 """One object per lattice kind: classical A, type B and the BD^S quotients.
 
-All three use bracket vectors under the componentwise order.  A kind binds
-n (and S for BD^S) and owns what differs: parsing outside input (raising
-only ValueError), JSON formatting, enumeration and counting, the lattice
-operations, the geometric views, the capabilities it lacks and the verify
-suites that apply to it.  `lattice_kind` is the only place a type name is
-compared.  Kinds call library functions through their modules when they
-run (`bb.meet(...)`), so outside-in tracing sees every call.
+All three use bracket vectors under the componentwise order and take their
+lattice operations from `bracket_b` (type A at size n+1).  A kind binds n
+(and S for BD^S) and owns what differs: parsing outside input (raising only
+ValueError), JSON formatting, enumeration and counting, the geometric
+views, the capabilities it lacks and the verify suites that apply to it.
+Parsing validates, so the operations may call unchecked kernels
+(`bb._covers`).  `lattice_kind` is the only place a type name is compared.
+Kinds call library functions through their modules when they run
+(`bb.meet(...)`), so outside-in tracing sees every call.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ class TypeB(Kind):
         return bb.join(a, b, self.n)
 
     def covers(self, a, b) -> bool:
-        return bb.covers(a, b, self.n)
+        return bb._covers(a, b, self.n)
 
     def upper_covers(self, v) -> list:
         return bb.upper_covers(v, self.n)
@@ -215,25 +217,23 @@ class TypeA(Kind):
     def _elements(self):
         return ta.enumerate_a(self.n)
 
+    # The type-A vectors are the ideal below (0, 1, ..., n) in T_{n+1}^B, so
+    # meets, joins and covers are those of T_{n+1}^B.
+
     def meet(self, a, b):
-        return ta.meet_a(a, b, self.n)
+        return bb.meet(a, b, self.n + 1)
 
     def join(self, a, b):
-        return ta.join_a(a, b, self.n)
+        return bb.join(a, b, self.n + 1)
 
     def covers(self, a, b) -> bool:
-        return ta.covers_a(a, b, self.n)
+        return bb._covers(a, b, self.n + 1)
 
     def upper_covers(self, v) -> list:
-        """A cover raises one coordinate k to its next legal value x <= k
-        (`fits_at` at size n+1); higher coordinates first is lexicographic order."""
-        out = []
-        for k in range(self.n, -1, -1):
-            for x in range(v[k] + 1, k + 1):
-                if bb.fits_at(v, self.n + 1, k, x):
-                    out.append(v[:k] + (x,) + v[k + 1 :])
-                    break
-        return out
+        """The type-B covers at size n+1 that stay in the ideal (w_i <= i-1),
+        reversed: higher coordinates first is lexicographic order."""
+        ups = bb.upper_covers(v, self.n + 1)
+        return [w for w in reversed(ups) if all(x <= k for k, x in enumerate(w))]
 
     def edge_label(self, a, b):
         return None

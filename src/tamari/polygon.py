@@ -33,9 +33,16 @@ def label_of(idx: int, n: int) -> str:
     return str(-v) if is_barred(idx, n) else str(v)
 
 
+def json_int(x, what: str) -> int:
+    """x itself if it is an integer; a boolean or a float raises ValueError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def idx_of(label: str | int, n: int) -> int:
     """Parse a label ("3", "-3", or the signed integer) to a circular index."""
-    v = int(label)
+    v = int(label) if isinstance(label, str) else json_int(label, "a vertex label")
     if v == 0 or abs(v) > n + 1:
         raise ValueError(f"label {label!r} out of range for n={n}")
     return v - 1 if v > 0 else n - v

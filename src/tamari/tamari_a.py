@@ -4,10 +4,12 @@ Vertices are numbered 0..n+2 clockwise with the long top edge 0--(n+2).
 The bracket vector records r_i = i-1 - v_i for i = 1..n+1, where v_i is the
 least vertex attached to i.  The triangulations, flips and the classical
 noncrossing partition bijection are its own: they are the cross-validation
-target.  The vectors are not: a type-A vector is a type-B (n+1)-vector with
-r_i <= i-1, on which condition (ii) never applies (it needs r_i >= i), so
-enumeration and the cover tests use the type-B per-coordinate check
-`bracket_b.fits_at` at size n+1.
+target.  The vectors and their order are not: a type-A vector is a type-B
+(n+1)-vector with r_i <= i-1, on which condition (ii) never applies (it
+needs r_i >= i).  These vectors are the principal ideal below (0, 1, ..., n)
+in T_{n+1}^B, which gives the type-A lattice its meet, join and covers, so
+validation, enumeration and the lattice operations are `bracket_b`'s at
+size n+1 (`kinds.TypeA`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import bracket_b as bb
-from .polygon import chord, crosses
+from .polygon import chord, crosses, json_int
 
 Chord = tuple[int, int]
 Vector = tuple
@@ -56,7 +58,8 @@ class TriangulationA:
 
     @classmethod
     def from_json(cls, data: dict) -> "TriangulationA":
-        return cls.from_chords(int(data["n"]), [tuple(c) for c in data["chords"]])
+        chords = [[json_int(x, "a chord endpoint") for x in c] for c in data["chords"]]
+        return cls.from_chords(json_int(data["n"], "n"), chords)
 
 
 def catalan(k: int) -> int:
@@ -87,17 +90,14 @@ def color_a(t: TriangulationA, c: Chord) -> str:
 
 
 def validate_a(v: Vector, n: int):
-    """Validity check; returns the violated condition or None."""
+    """Violated condition or None: ("ii", i) for an entry outside 0 <= r_i <= i-1,
+    else the condition (i) witness of the type-B (n+1)-vector."""
     if len(v) != n + 1 or not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
         raise ValueError(f"need an (n+1)-tuple of integers, got {v}")
     for i in range(n + 1):
         if not 0 <= v[i] <= i:
             return ("ii", i + 1)
-    for i, j in itertools.combinations(range(n + 1), 2):
-        bound = v[j] - (j - i)
-        if bound >= 0 and v[i] > bound:
-            return ("i", (i + 1, j + 1))
-    return None
+    return bb.violation(v, n + 1)
 
 
 def is_valid_a(v: Vector, n: int) -> bool:
@@ -164,50 +164,6 @@ def flip_a(t: TriangulationA, c: Chord) -> TriangulationA:
 def green_flips_a(t: TriangulationA) -> set[TriangulationA]:
     """The triangulations obtained from t by flipping one green chord."""
     return {flip_a(t, c) for c in t.chords if color_a(t, c) == "green"}
-
-
-def covers_by_flip_a(s: TriangulationA, t: TriangulationA) -> bool:
-    return t in green_flips_a(s)
-
-
-def leq_a(a: Vector, b: Vector) -> bool:
-    return all(x <= y for x, y in zip(a, b, strict=True))
-
-
-def covers_a(a: Vector, b: Vector, n: int) -> bool:
-    """One changed coordinate k, with no legal value in between (`fits_at`, x <= k)."""
-    diffs = [k for k in range(n + 1) if a[k] != b[k]]
-    if len(diffs) != 1:
-        return False
-    k = diffs[0]
-    if not a[k] < b[k]:
-        return False
-    return not any(bb.fits_at(a, n + 1, k, x) for x in range(a[k] + 1, min(b[k], k + 1)))
-
-
-def up_a(x: Vector, n: int) -> Vector:
-    """Minimal valid vector above a tuple with 0 <= x_i <= i-1."""
-    if len(x) != n + 1 or not all(0 <= x[i] <= i for i in range(n + 1)):
-        raise ValueError(f"up_a needs entries with 0 <= x_i <= i-1: {x}")
-    g: list[int] = []
-    for i in range(n + 1):
-        best = x[i]
-        for j in range(1, min(x[i], i) + 1):
-            best = max(best, g[i - j] + j)
-        g.append(best)
-    result = tuple(g)
-    assert is_valid_a(result, n)
-    return result
-
-
-def meet_a(a: Vector, b: Vector, n: int) -> Vector:
-    result = tuple(min(x, y) for x, y in zip(a, b, strict=True))
-    assert is_valid_a(result, n), "componentwise min of valid A-vectors must be valid"
-    return result
-
-
-def join_a(a: Vector, b: Vector, n: int) -> Vector:
-    return up_a(tuple(max(x, y) for x, y in zip(a, b, strict=True)), n)
 
 
 def psi_a(t: TriangulationA) -> frozenset[frozenset[int]]:

@@ -21,6 +21,7 @@ from tamari import shelling as sh
 from tamari import tamari_a as ta
 from tamari import tri_b
 from tamari.bracket_b import INF
+from tamari.kinds import lattice_kind
 from tamari.oracle import FinitePoset
 
 FIG2_VECTOR = (0, INF, 0, 0, 2, 0)
@@ -293,14 +294,15 @@ def test_criterion_11_type_a():
         ok &= ta.catalan(n + 1) == want
         ok &= len(ta.enumerate_a(n)) == want
     for n in range(1, 6):
+        kind = lattice_kind("a", n)
         vecs = ta.enumerate_a(n)
-        po = FinitePoset.build(vecs, ta.leq_a)
+        po = FinitePoset.build(vecs, bb.leq)
         meets, joins = po.all_meets(), po.all_joins()
         named = [*vecs, None]  # index -1, no meet or join, reads as None
         for i, a in enumerate(vecs):
             for j, b in enumerate(vecs):
-                ok &= ta.meet_a(a, b, n) == named[meets[i, j]]
-                ok &= ta.join_a(a, b, n) == named[joins[i, j]]
+                ok &= kind.meet(a, b) == named[meets[i, j]]
+                ok &= kind.join(a, b) == named[joins[i, j]]
                 m = tuple(min(x, y) for x, y in zip(a, b))
                 ok &= ta.is_valid_a(m, n)
     assert report(11, ok, "|T_n^A| = Catalan(n+1) (n<=6); lattice ops == oracle (n<=5); min valid")

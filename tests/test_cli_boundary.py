@@ -53,6 +53,10 @@ def python(*args, **kwargs):
         ["encode", "--triangulation", "[1]"],
         ["encode", "--triangulation", "null"],
         ["encode", "--type", "a", "--triangulation", '{"n": 2, "chords": [5]}'],
+        ["encode", "--type", "a", "--triangulation", '{"n": 1.9, "chords": [[0, 2]]}'],
+        ["encode", "--type", "a", "--triangulation", '{"n": 1, "chords": [[0.5, 2]]}'],
+        ["encode", "--type", "a", "--triangulation", '{"n": true, "chords": [[0, 2]]}'],
+        ["encode", "--triangulation", '{"n": 2.7, "chords": [[1, -1], [1, -2], [-1, 2]]}'],
         ["decode", "--n", "3", "--vector", "[" * 100_000],
         ["decode", "--n", "3", "--vector", '"a\\nb"'],
         ["meet", "--type", "a", "--n", "2", "--vector", "[false,false,false]", "--other", "[0,0,0]"],
@@ -100,8 +104,10 @@ def test_type_a_upper_covers_match_the_cover_relation():
     for n in range(1, 6):
         kind = lattice_kind("a", n)
         vecs = ta.enumerate_a(n)
+        tris = {v: ta.decode_a(v, n) for v in vecs}
         for v in vecs:
-            assert kind.upper_covers(v) == [w for w in vecs if ta.covers_a(v, w, n)]
+            ups = ta.green_flips_a(tris[v])
+            assert kind.upper_covers(v) == [w for w in vecs if tris[w] in ups]
 
 
 def test_closed_pipe_exits_quietly():

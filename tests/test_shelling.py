@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from conftest import all_subsets
@@ -181,6 +182,15 @@ def test_mobius_matches_oracle():
                         mu = sh.mobius(y, z, n, s)
                         assert mu in (-1, 0, 1)
                         assert mu == po.mobius(y, z)
+
+
+def test_lattice_elements_are_a_linear_extension():
+    # verify_el counts rising chains in list order, so each element must come
+    # after every element below it: no a_i <= a_j with i > j
+    for n in range(1, 6):
+        for s in all_subsets(n):
+            a = np.array(sh.lattice_elements(n, s), dtype=float)
+            assert not np.tril((a[:, None, :] <= a[None, :, :]).all(-1), -1).any(), (n, s)
 
 
 def test_verify_el_passes():
