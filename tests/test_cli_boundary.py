@@ -53,16 +53,16 @@ def python(*args, **kwargs):
         ["encode", "--triangulation", "[1]"],
         ["encode", "--triangulation", "null"],
         ["encode", "--type", "a", "--triangulation", '{"n": 2, "chords": [5]}'],
-        ["encode", "--type", "a", "--triangulation", '{"n": 1.9, "chords": [[0, 2]]}'],
-        ["encode", "--type", "a", "--triangulation", '{"n": 1, "chords": [[0.5, 2]]}'],
-        ["encode", "--type", "a", "--triangulation", '{"n": true, "chords": [[0, 2]]}'],
-        ["encode", "--triangulation", '{"n": 2.7, "chords": [[1, -1], [1, -2], [-1, 2]]}'],
         ["decode", "--n", "3", "--vector", "[" * 100_000],
         ["decode", "--n", "3", "--vector", '"a\\nb"'],
         ["meet", "--type", "a", "--n", "2", "--vector", "[false,false,false]", "--other", "[0,0,0]"],
         ["psi-inv", "--partition", '{"n": true, "blocks": [["1"],["-1"]]}'],
         ["psi-inv", "--partition", '{"n": 1.9, "blocks": [[1.5],["-1"]]}'],
         ["psi-inv", "--partition", '{"n": 1, "blocks": [[1.0],["-1"]]}'],
+        ["encode", "--type", "a", "--triangulation", '{"n": 1.9, "chords": [[0, 2]]}'],
+        ["encode", "--type", "a", "--triangulation", '{"n": 1, "chords": [[0.5, 2]]}'],
+        ["encode", "--type", "a", "--triangulation", '{"n": true, "chords": [[0, 2]]}'],
+        ["encode", "--triangulation", '{"n": 2.7, "chords": [[1, -1], [1, -2], [-1, 2]]}'],
     ],
 )
 def test_malformed_input_is_one_error_line(argv):
