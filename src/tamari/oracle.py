@@ -175,22 +175,48 @@ def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
+# Fixed odd multiplier of the row hash (the 64-bit golden ratio).
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """One uint64 key per column of 64-bit words, the polynomial hash
+    sum_w words[w] * M^(w+1) mod 2^64.  Distinct columns may share a key."""
+    powers = np.cumprod(np.full(len(words), _HASH_MULT), dtype=np.uint64)
+    return powers @ words
+
+
 def _bound_table(sets: np.ndarray) -> np.ndarray:
     """[i, j] = the k whose row sets[k] equals sets[i] & sets[j], else -1.
 
-    Rows are packed to bytes and compared as opaque keys: sorted once, then
-    one vectorised searchsorted per row i.  The rows are distinct, because
-    the relation is antisymmetric.
+    Rows are packed into 64-bit words, stored one row per column so that
+    the per-row reductions run along the long axis, and hashed to uint64
+    keys, sorted once.  For each row i the keys of all intersections
+    sets[i] & sets[j] are searched at once, and a hit counts only when the
+    packed rows are equal; on a key that several rows share each of them
+    is tried.  The rows are distinct, because the relation is
+    antisymmetric, so at most one matches.
     """
     n = len(sets)
-    packed = np.ascontiguousarray(np.packbits(sets, axis=1))
-    key = np.dtype((np.void, packed.shape[1]))
-    keys = packed.view(key).ravel()
+    packed = np.packbits(sets, axis=1)
+    words = np.zeros((n, -(-packed.shape[1] // 8)), dtype=np.uint64)
+    words.view(np.uint8)[:, : packed.shape[1]] = packed
+    words = np.ascontiguousarray(words.T)
+    keys = _row_keys(words)
     order = np.argsort(keys)
     ranked = keys[order]
-    out = np.empty((n, n), dtype=np.int32)
+    out = np.full((n, n), -1, dtype=np.int32)
     for i in range(n):
-        want = (packed[i] & packed).view(key).ravel()
-        pos = np.minimum(np.searchsorted(ranked, want), n - 1)
-        out[i] = np.where(ranked[pos] == want, order[pos], -1)
+        inter = words[:, i, None] & words
+        want = _row_keys(inter)
+        pos = np.searchsorted(ranked, want)
+        todo = np.arange(n)
+        while len(todo):  # a second round only after a key collision
+            todo = todo[pos[todo] < n]
+            todo = todo[ranked[pos[todo]] == want[todo]]
+            k = order[pos[todo]]
+            exact = (words.take(k, axis=1) == inter.take(todo, axis=1)).all(axis=0)
+            out[i, todo[exact]] = k[exact]
+            todo = todo[~exact]
+            pos[todo] += 1
     return out

@@ -102,6 +102,19 @@ def _strict_pairs(n: int, s: frozenset) -> tuple:
     return tuple((y, z) for y in elems for z in elems if y != z and bb.leq(y, z))
 
 
+@lru_cache(maxsize=None)
+def _order_masks(n: int, s: frozenset) -> tuple[dict, dict]:
+    """Up-sets and down-sets of T_n^S as bitsets over `lattice_elements`
+    indices: bit k of up[y] (down[z]) is set when element k is >= y (<= z)."""
+    index = {v: k for k, v in enumerate(lattice_elements(n, s))}
+    up = {v: 1 << k for v, k in index.items()}
+    down = dict(up)
+    for y, z in _strict_pairs(n, s):
+        up[y] |= 1 << index[z]
+        down[z] |= 1 << index[y]
+    return up, down
+
+
 def is_left_modular(x, n: int, s=frozenset()) -> bool:
     """(y v x) ^ z == y v (x ^ z) for every comparable pair y < z."""
     q.check_member(x, s, n)
@@ -126,6 +139,11 @@ def el_label(a, b, n: int, s=frozenset()) -> Label:
     """
     if not q.covers_s(a, b, s, n):
         raise ValueError(f"{a} is not covered by {b}")
+    return _el_label(a, b, n, s)
+
+
+def _el_label(a, b, n: int, s) -> Label:
+    """`el_label` for an edge already known to be a cover of T_n^S."""
     k = next(k for k in range(n) if a[k] != b[k])
     for lab, w in _irreducibles_at(n, frozenset(s))[k]:
         if bb.leq(w, b) and not bb.leq(w, a):
@@ -153,14 +171,15 @@ def gamma_chain_label(a, b, n: int, s=frozenset()):
 
 
 def _upper_covers_in(v, z, n: int, s) -> list:
-    return [w for w in q.upper_covers_s(v, s, n) if bb.leq(w, z)]
+    return [w for w in q._upper_covers_s(v, s, n) if bb.leq(w, z)]
 
 
 def decreasing_chains(y, z, n: int, s=frozenset()) -> list[list]:
     """All maximal chains from y to z with strictly decreasing labels.
 
     Exhaustive search; at most one such chain can exist, and this is
-    enforced.
+    enforced.  The walk takes only upper covers of members, so it labels
+    its edges unchecked.
     """
     if not bb.leq(y, z):
         raise ValueError(f"{y} is not below {z}")
@@ -173,7 +192,7 @@ def decreasing_chains(y, z, n: int, s=frozenset()) -> list[list]:
             out.append(list(chain))
             return
         for w in _upper_covers_in(cur, z, n, s):
-            r = rank[el_label(cur, w, n, s)]
+            r = rank[_el_label(cur, w, n, s)]
             if last_rank is None or r < last_rank:
                 chain.append(w)
                 rec(chain, r)
@@ -253,15 +272,22 @@ def verify_el(n: int, s=frozenset(), labeller=None) -> dict:
 
     violations = []
     pairs = _strict_pairs(n, frozenset(s))
+    up, down = _order_masks(n, frozenset(s))
     for y, z in pairs:
-        # lattice_elements order is lexicographic, so a linear extension:
-        # every element comes after all those below it
-        inside = [v for v in elems if bb.leq(y, v) and bb.leq(v, z)]
+        # the interval in index order: lattice_elements order is
+        # lexicographic, so a linear extension, and every element comes
+        # after all those below it
+        inside = []
+        bits = up[y] & down[z]
+        while bits:
+            low = bits & -bits
+            inside.append(elems[low.bit_length() - 1])
+            bits ^= low
         counts = {v: {} for v in inside}
         counts[y] = {None: 1}
         for v in inside:
             for w in ups[v]:
-                if not bb.leq(w, z):
+                if w not in counts:  # above z
                     continue
                 lab = edge_label[(v, w)]
                 for prev, c in counts[v].items():
@@ -270,7 +296,7 @@ def verify_el(n: int, s=frozenset(), labeller=None) -> dict:
         rising = sum(counts[z].values())
         lex = [y]
         while lex[-1] != z:
-            steps = [w for w in ups[lex[-1]] if bb.leq(w, z)]
+            steps = [w for w in ups[lex[-1]] if w in counts]
             labs = sorted(edge_label[(lex[-1], w)] for w in steps)
             if len(labs) > 1 and labs[0] == labs[1]:
                 violations.append({"interval": (y, z), "problem": "label tie"})

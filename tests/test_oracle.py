@@ -1,5 +1,9 @@
+from itertools import combinations
+
+import numpy as np
 import pytest
 
+from tamari import oracle
 from tamari.oracle import FinitePoset, PosetError
 
 
@@ -62,6 +66,27 @@ def test_meet_join_scan_and_bulk_agree():
             assert po.join(a, b) == named[joins[i, j]]
     assert po.meet(4, 6) == 2 and po.join(4, 6) == 12
     assert po.meet(4, 4) == 4
+
+
+def test_bound_tables_survive_key_collisions(monkeypatch):
+    """With every row key equal, each hit is decided by the exact row
+    comparison alone: no entry may go wrong or missing."""
+    rel = {("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")}
+    posets = [
+        divisibility([1, 2, 3, 4, 6, 12]),
+        FinitePoset.build(["a", "b", "c", "d"], lambda x, y: x == y or (x, y) in rel),
+        # 128 elements: rows of two 64-bit words
+        FinitePoset.build(
+            [frozenset(c) for r in range(8) for c in combinations(range(7), r)],
+            lambda x, y: x <= y,
+        ),
+    ]
+    expected = [(po.all_meets(), po.all_joins()) for po in posets]
+    monkeypatch.setattr(oracle, "_row_keys", lambda words: np.zeros(words.shape[1], np.uint64))
+    for po, (meets, joins) in zip(posets, expected):
+        assert (po.all_meets() == meets).all() and (po.all_joins() == joins).all()
+    bowtie = posets[1]
+    assert bowtie.all_meets()[2, 3] == -1 and bowtie.all_joins()[0, 1] == -1
 
 
 def test_chain_mobius():
