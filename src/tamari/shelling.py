@@ -13,11 +13,16 @@ labelled by the least irreducible below the top but not the bottom;
 every interval then has a unique weakly increasing maximal chain
 (lexicographically first) and at most one decreasing chain, giving the
 Mobius value and the homotopy type of the open interval.
+
+`is_left_modular`, `decreasing_chains` and `verify_el` work on the cached
+`IndexedLattice` of `lattice_elements(n, s)`; the witnesses
+`decreasing_chain_build` (so `mobius`) and `gamma_chain_label` take their
+own checked steps.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import inf as INF
 
 from . import bracket_b as bb
@@ -48,13 +53,9 @@ def s_vector(n: int, i: int, t):
     return vec
 
 
-def _t_range(n: int) -> list:
-    return list(range(1, n)) + [INF]
-
-
 def label_order(n: int) -> list[Label]:
     """All n^2 labels (i, t) in increasing order under the label order."""
-    return [(i, t) for i in range(n, 0, -1) for t in _t_range(n)]
+    return [(i, t) for i in range(n, 0, -1) for t in [*range(1, n), INF]]
 
 
 def join_irreducibles(n: int, s=frozenset()) -> list[tuple[Label, tuple]]:
@@ -80,50 +81,91 @@ def _irreducibles_at(n: int, s: frozenset) -> tuple:
 def left_modular_chain(n: int, s=frozenset()) -> list[tuple]:
     """Unrefinable chain bottom = S_{n,1}-chain = top, merged under ~_S."""
     chain = [q.project(bb.bottom_vector(n), s, n)]
-    for i in range(n, 0, -1):
-        for t in _t_range(n):
-            if i in s and t == n - 1:
-                continue
-            v = s_vector(n, i, t)
-            if v != chain[-1]:
-                chain.append(v)
+    for i, t in label_order(n):
+        if not (i in s and t == n - 1) and (v := s_vector(n, i, t)) != chain[-1]:
+            chain.append(v)
     return chain
 
 
-@lru_cache(maxsize=None)
-def lattice_elements(n: int, s=frozenset()) -> tuple:
-    return tuple(q.elements_tns(n, s))
+def order_matrix(elems):
+    """Read-only N x N bool matrix: [i, j] when elems[i] <= elems[j] componentwise."""
+    import numpy as np
+
+    a = np.array(elems, dtype=float)  # inf stays inf
+    order = (a[:, None, :] <= a[None, :, :]).all(-1)
+    order.flags.writeable = False  # shared by every reader of the cached lattice
+    return order
 
 
-@lru_cache(maxsize=None)
-def _strict_pairs(n: int, s: frozenset) -> tuple:
-    """Every pair (y, z) of T_n^S with y < z, in `lattice_elements` order."""
-    elems = lattice_elements(n, s)
-    return tuple((y, z) for y in elems for z in elems if y != z and bb.leq(y, z))
+class IndexedLattice(tuple):
+    """T_n^S in lexicographic order, a linear extension, plus what is fixed
+    per (n, s), each built on first use and kept on the object, so clearing
+    the `lattice_elements` cache drops it.  Elements are named by index:
+    `index` maps elements to indices, `order` is the `order_matrix`,
+    `strict` holds every pair y < z as two index arrays (y-major),
+    `covers[i]` the upper covers of i (increasing), `ranks[i]` the rank of
+    each one's EL label, and `meets`/`joins` the `op_table`s of the type-B
+    meet, which T_n^S inherits, and of the T_n^S join."""
+
+    def __new__(cls, n: int, s=frozenset()):
+        self = super().__new__(cls, q.elements_tns(n, s))
+        self.n, self.s = n, frozenset(s)
+        return self
+
+    index = cached_property(lambda self: {v: k for k, v in enumerate(self)})
+    order = cached_property(order_matrix)
+
+    @cached_property
+    def strict(self) -> tuple:
+        ys, zs = self.order.nonzero()
+        return ys[ys != zs], zs[ys != zs]
+
+    @cached_property
+    def covers(self) -> list[list[int]]:
+        return [[self.index[w] for w in q._upper_covers_s(v, self.s, self.n)] for v in self]
+
+    @cached_property
+    def ranks(self) -> list[list[int]]:
+        rank = _label_rank(self.n, self.s)
+        return [[rank[_el_label(v, self[w], self.n, self.s)] for w in ws]
+                for v, ws in zip(self, self.covers)]
+
+    @cached_property
+    def meets(self):
+        return op_table(self, self.index, lambda a, b: bb.meet(a, b, self.n))
+
+    @cached_property
+    def joins(self):
+        return op_table(self, self.index, lambda a, b: q._join_s(a, b, self.s, self.n))
 
 
-@lru_cache(maxsize=None)
-def _order_masks(n: int, s: frozenset) -> tuple[dict, dict]:
-    """Up-sets and down-sets of T_n^S as bitsets over `lattice_elements`
-    indices: bit k of up[y] (down[z]) is set when element k is >= y (<= z)."""
-    index = {v: k for k, v in enumerate(lattice_elements(n, s))}
-    up = {v: 1 << k for v, k in index.items()}
-    down = dict(up)
-    for y, z in _strict_pairs(n, s):
-        up[y] |= 1 << index[z]
-        down[z] |= 1 << index[y]
-    return up, down
+lattice_elements = lru_cache(maxsize=None)(IndexedLattice)  # one per (n, s)
+
+
+def op_table(elems, index: dict, op):
+    """N x N index table of op, called once per unordered pair {a, b}, a
+    listed no later than b, with -2 for a value that is not an element."""
+    import numpy as np
+
+    size = len(elems)
+    table = np.empty((size, size), np.int16 if size < 2**15 else np.int32)
+    for i, a in enumerate(elems):
+        row = [index.get(op(a, b), -2) for b in elems[i:]]
+        table[i, i:] = row
+        table[i:, i] = row
+    return table
 
 
 def is_left_modular(x, n: int, s=frozenset()) -> bool:
     """(y v x) ^ z == y v (x ^ z) for every comparable pair y < z."""
     q.check_member(x, s, n)
-    for y, z in _strict_pairs(n, frozenset(s)):
-        lhs = bb.meet(q._join_s(y, x, s, n), z, n)
-        rhs = q._join_s(y, bb.meet(x, z, n), s, n)
-        if lhs != rhs:
-            return False
-    return True
+    lat = lattice_elements(n, frozenset(s))
+    k = lat.index[x]
+    ys, zs = lat.strict
+    yx, xz = lat.joins[ys, k], lat.meets[k, zs]
+    if (yx < 0).any() or (xz < 0).any():
+        raise AssertionError("a meet or join formula left T_n^S")
+    return bool((lat.meets[yx, zs] == lat.joins[ys, xz]).all())
 
 
 @lru_cache(maxsize=None)
@@ -170,35 +212,31 @@ def gamma_chain_label(a, b, n: int, s=frozenset()):
     raise AssertionError("no chain step hit")
 
 
-def _upper_covers_in(v, z, n: int, s) -> list:
-    return [w for w in q._upper_covers_s(v, s, n) if bb.leq(w, z)]
-
-
 def decreasing_chains(y, z, n: int, s=frozenset()) -> list[list]:
-    """All maximal chains from y to z with strictly decreasing labels.
+    """All maximal chains from y to z in T_n^S with strictly decreasing labels.
 
-    Exhaustive search; at most one such chain can exist, and this is
-    enforced.  The walk takes only upper covers of members, so it labels
-    its edges unchecked.
+    Exhaustive search over the cached covers and label ranks; at most one
+    such chain can exist, and this is enforced.
     """
     if not bb.leq(y, z):
         raise ValueError(f"{y} is not below {z}")
-    rank = _label_rank(n, frozenset(s))
+    lat = lattice_elements(n, frozenset(s))
+    top = lat.index[z]
+    below_top = lat.order[:, top]
     out: list[list] = []
 
     def rec(chain: list, last_rank) -> None:
         cur = chain[-1]
-        if cur == z:
-            out.append(list(chain))
+        if cur == top:
+            out.append([lat[k] for k in chain])
             return
-        for w in _upper_covers_in(cur, z, n, s):
-            r = rank[_el_label(cur, w, n, s)]
-            if last_rank is None or r < last_rank:
+        for w, r in zip(lat.covers[cur], lat.ranks[cur]):
+            if below_top[w] and (last_rank is None or r < last_rank):
                 chain.append(w)
                 rec(chain, r)
                 chain.pop()
 
-    rec([y], None)
+    rec([lat.index[y]], None)
     if len(out) > 1:
         raise AssertionError(f"multiple decreasing chains in [{y}, {z}]")
     return out
@@ -249,71 +287,43 @@ def interval_homotopy(y, z, n: int, s=frozenset()):
     return ("sphere", len(chain) - 3)
 
 
-def verify_el(n: int, s=frozenset(), labeller=None) -> dict:
+def verify_el(n: int, s=frozenset()) -> dict:
     """Check the EL property on every interval of T_n^S.
 
-    Each interval must carry exactly one weakly increasing maximal chain,
-    and that chain must be lexicographically first.  A custom labeller
-    (cover pair -> comparable value) can be injected; the default is the
-    least-irreducible labelling.
+    Each interval must carry exactly one weakly increasing maximal chain
+    of label ranks (`IndexedLattice.ranks`), and that chain must be
+    lexicographically first.
     """
-    rank = _label_rank(n, frozenset(s))
-    if labeller is None:
-        def labeller(a, b):
-            return rank[el_label(a, b, n, s)]
-
-    elems = lattice_elements(n, s)
-    edge_label = {}
-    ups: dict = {}
-    for v in elems:
-        ups[v] = q.upper_covers_s(v, s, n)
-        for w in ups[v]:
-            edge_label[(v, w)] = labeller(v, w)
-
+    lat = lattice_elements(n, frozenset(s))
+    ups, labels = lat.covers, lat.ranks
     violations = []
-    pairs = _strict_pairs(n, frozenset(s))
-    up, down = _order_masks(n, frozenset(s))
-    for y, z in pairs:
-        # the interval in index order: lattice_elements order is
-        # lexicographic, so a linear extension, and every element comes
-        # after all those below it
-        inside = []
-        bits = up[y] & down[z]
-        while bits:
-            low = bits & -bits
-            inside.append(elems[low.bit_length() - 1])
-            bits ^= low
-        counts = {v: {} for v in inside}
-        counts[y] = {None: 1}
-        for v in inside:
-            for w in ups[v]:
-                if w not in counts:  # above z
-                    continue
-                lab = edge_label[(v, w)]
+    for y in range(len(lat)):
+        above = lat.order[y].nonzero()[0].tolist()  # y, then every z > y
+        counts = {y: {None: 1}}  # rising chains from y to v, by last label
+        for v in above:  # a linear extension: counts[v] is complete here
+            for w, lab in zip(ups[v], labels[v]):
+                into = counts.setdefault(w, {})
                 for prev, c in counts[v].items():
                     if prev is None or prev <= lab:
-                        counts[w][lab] = counts[w].get(lab, 0) + c
-        rising = sum(counts[z].values())
-        lex = [y]
-        while lex[-1] != z:
-            steps = [w for w in ups[lex[-1]] if w in counts]
-            labs = sorted(edge_label[(lex[-1], w)] for w in steps)
-            if len(labs) > 1 and labs[0] == labs[1]:
-                violations.append({"interval": (y, z), "problem": "label tie"})
-            lex.append(min(steps, key=lambda w: edge_label[(lex[-1], w)]))
-        lex_labels = [edge_label[(a, b)] for a, b in zip(lex, lex[1:])]
-        lex_rising = all(a <= b for a, b in zip(lex_labels, lex_labels[1:]))
-        if rising != 1 or not lex_rising:
-            violations.append(
-                {
-                    "interval": (y, z),
-                    "problem": f"{rising} rising chains, lex-first rising: {lex_rising}",
-                }
-            )
+                        into[lab] = into.get(lab, 0) + c
+        for z in above[1:]:
+            rising = sum(counts[z].values())
+            below_z = lat.order[:, z]
+            lex, lex_labels = y, []
+            while lex != z:
+                steps = sorted((lab, w) for w, lab in zip(ups[lex], labels[lex]) if below_z[w])
+                if len(steps) > 1 and steps[0][0] == steps[1][0]:
+                    violations.append({"interval": (lat[y], lat[z]), "problem": "label tie"})
+                lab, lex = steps[0]
+                lex_labels.append(lab)
+            lex_rising = all(a <= b for a, b in zip(lex_labels, lex_labels[1:]))
+            if rising != 1 or not lex_rising:
+                problem = f"{rising} rising chains, lex-first rising: {lex_rising}"
+                violations.append({"interval": (lat[y], lat[z]), "problem": problem})
     return {
         "n": n,
         "s": sorted(s),
-        "intervals_checked": len(pairs),
+        "intervals_checked": len(lat.strict[0]),
         "violations": violations,
         "passed": not violations,
     }

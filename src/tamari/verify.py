@@ -5,6 +5,12 @@ report dict with a "passed" flag and a list of human-readable failure
 strings.  The CLI maps suite failures to exit code 2.  Suites that take a
 type work through its kind object (`tamari.kinds`), branching only where
 the witnesses differ on purpose.
+
+Suites over T_n^S work in the index space of `shelling.lattice_elements`.
+The witnesses stay independent of what they check: the oracle receives
+only the order matrix, `suite_covers` never reads the cached covers,
+`suite_lattice` fills its own tables from the kind's meet and join, and
+`suite_el` sets the cached-cover search against `decreasing_chain_build`.
 """
 
 from __future__ import annotations
@@ -42,69 +48,72 @@ def _parse_s(s) -> frozenset:
 
 def _poset(elems):
     """The oracle poset of bracket vectors under the componentwise order."""
-    import numpy as np  # numpy loads only once a suite needs the oracle
+    from .oracle import FinitePoset  # numpy loads only once a suite needs the oracle
 
-    from .oracle import FinitePoset
-
-    a = np.array(elems, dtype=float)  # inf stays inf
-    return FinitePoset(elems, (a[:, None, :] <= a[None, :, :]).all(-1))
+    order = elems.order if isinstance(elems, sh.IndexedLattice) else sh.order_matrix(elems)
+    return FinitePoset(elems, order)
 
 
 def suite_lattice(kind: str, n: int, s=()) -> dict:
     """Poset is a lattice per oracle; formula meet/join match it on all pairs.
 
-    The formulas run once per unordered pair {a, b}, a listed no later
-    than b, and each value is compared as an element index (-2 for a
-    vector that is not an element) with both oracle entries [a, b] and
-    [b, a].  `checked` counts the N^2 oracle entries compared plus the
-    triples of the lattice-algebra pass (types b and bds), which checks
-    commutativity, so also a formula wrong in one argument order only: on
-    every pair while N^3 <= 10,000, on a seeded sample beyond.
+    The formulas fill `shelling.op_table`s after the oracle tables; each
+    value is compared with both oracle entries [a, b] and [b, a].
+    `checked` counts those N^2 entries plus the triples of the lattice-
+    algebra pass (types b and bds), which reads the tables and calls the
+    formulas in the other argument order, for commutativity: every triple
+    while N^3 <= 10,000, a seeded sample beyond.
     """
     import numpy as np
 
     lat = lattice_kind(kind, n, s)
     failures: list[str] = []
-    elems = list(lat.elements())
+    elems = lat.elements()
     po = _poset(elems)
-    meets, joins = po.all_meets(), po.all_joins()
+    oracle = {"meet": po.all_meets(), "join": po.all_joins()}
+    ops = {"meet": lat.meet, "join": lat.join}
     index = po.index
+    tables = {name: sh.op_table(elems, index, op) for name, op in ops.items()}
     named = [*elems, None]  # index -1, no meet or join, reads as None
     checked = len(elems) ** 2
     for i, a in enumerate(elems):
-        for name, op, table in (("meet", lat.meet, meets), ("join", lat.join, joins)):
-            vals = [op(a, b) for b in elems[i:]]
-            got = np.fromiter((index.get(v, -2) for v in vals), np.int32, len(vals))
-            row, col = table[i, i:], table[i:, i]
+        for name, op in ops.items():
+            got, row, col = tables[name][i, i:], oracle[name][i, i:], oracle[name][i:, i]
             for k in np.flatnonzero((got != row) | (got != col)).tolist():
-                b, v = elems[i + k], vals[k]
+                b = elems[i + k]
+                v = op(a, b)  # called again to name the value
                 if got[k] != row[k]:
                     failures.append(f"{name}({a},{b}) = {v} != oracle {named[row[k]]}")
                 if got[k] != col[k]:
                     failures.append(
                         f"{name}({a},{b}) = {v} != oracle {name}({b},{a}) = {named[col[k]]}"
                     )
-    if (meets < 0).any() or (joins < 0).any():
+    if (oracle["meet"] < 0).any() or (oracle["join"] < 0).any():
         failures.append("oracle: not a lattice")
     if isinstance(lat, TypeB):  # type B and its quotients only
         # lattice algebra: exhaustive triples at small n, seeded sample beyond
         rng = random.Random(_seed())
+        size = len(elems)
         triples = (
-            list(itertools.product(elems, repeat=3))
-            if len(elems) ** 3 <= 10_000
-            else [tuple(rng.choices(elems, k=3)) for _ in range(2000)]
+            itertools.product(range(size), repeat=3)
+            if size**3 <= 10_000
+            else [rng.choices(range(size), k=3) for _ in range(2000)]
         )
-        meet, join = lat.meet, lat.join
+        meet, join = tables["meet"], tables["join"]
         for a, b, c in triples:
             checked += 1
-            if join(a, b) != join(b, a) or meet(a, b) != meet(b, a):
-                failures.append(f"commutativity fails at {a},{b}")
-            if join(join(a, b), c) != join(a, join(b, c)):
-                failures.append(f"join associativity fails at {a},{b},{c}")
-            if meet(meet(a, b), c) != meet(a, meet(b, c)):
-                failures.append(f"meet associativity fails at {a},{b},{c}")
-            if join(a, meet(a, b)) != a or meet(a, join(a, b)) != a:
-                failures.append(f"absorption fails at {a},{b}")
+            x, y = elems[a], elems[b]
+            flipped = index.get(lat.join(y, x), -2), index.get(lat.meet(y, x), -2)
+            if flipped != (join[a, b], meet[a, b]):
+                failures.append(f"commutativity fails at {x},{y}")
+            if min(join[a, b], join[b, c], meet[a, b], meet[b, c]) < 0:
+                continue  # a value outside the lattice, reported above, is no index
+            if join[join[a, b], c] != join[a, join[b, c]]:
+                failures.append(f"join associativity fails at {x},{y},{elems[c]}")
+            if meet[meet[a, b], c] != meet[a, meet[b, c]]:
+                failures.append(f"meet associativity fails at {x},{y},{elems[c]}")
+            if join[a, meet[a, b]] != a or meet[a, join[a, b]] != a:
+                failures.append(f"absorption fails at {x},{y}")
     return _report("lattice", failures, checked)
 
 
@@ -122,17 +131,12 @@ def suite_covers(kind: str, n: int, s=()) -> dict:
                 checked += 1
                 if lat.covers(a, b) != (tris[b] in ups[a]):
                     failures.append(f"cover mismatch at {a} -> {b}")
-    else:  # witness: the Hasse diagram of the subposet T_n^S
-        for a in elems:
-            for b in elems:
-                if a == b or not bb.leq(a, b):
-                    continue
-                checked += 1
-                hasse = not any(
-                    c != a and c != b and bb.leq(a, c) and bb.leq(c, b) for c in elems
-                )
-                if lat.covers(a, b) != hasse:
-                    failures.append(f"quotient cover mismatch at {a} -> {b}")
+    else:  # witness: the oracle's Hasse diagram of the subposet T_n^S, on every a < b
+        hasse = _poset(elems).covers
+        for i, j in zip(*(x.tolist() for x in elems.strict)):
+            checked += 1
+            if lat.covers(elems[i], elems[j]) != hasse[i, j]:
+                failures.append(f"quotient cover mismatch at {elems[i]} -> {elems[j]}")
     return _report("covers", failures, checked)
 
 
@@ -195,22 +199,20 @@ def suite_el(n: int, s=()) -> dict:
     rep = sh.verify_el(n, s)
     failures = [str(v) for v in rep["violations"]]
     checked = rep["intervals_checked"]
-    elems = list(sh.lattice_elements(n, s))
-    po = _poset(elems)
-    for y in elems:
-        for z in elems:
-            if not bb.leq(y, z):
-                continue
-            checked += 1
-            found = sh.decreasing_chains(y, z, n, s)
-            built = sh.decreasing_chain_build(y, z, n, s)
-            if built is None and found:
-                failures.append(f"builder missed the decreasing chain in [{y},{z}]")
-            if built is not None and [built] != found:
-                failures.append(f"builder chain differs from search in [{y},{z}]")
-            mu = sh.mobius(y, z, n, s)
-            if mu not in (-1, 0, 1) or mu != po.mobius(y, z):
-                failures.append(f"mobius mismatch at [{y},{z}]: {mu} vs {po.mobius(y, z)}")
+    lat = sh.lattice_elements(n, s)
+    po = _poset(lat)
+    for i, j in zip(*(x.tolist() for x in lat.order.nonzero())):  # every y <= z
+        y, z = lat[i], lat[j]
+        checked += 1
+        found = sh.decreasing_chains(y, z, n, s)
+        built = sh.decreasing_chain_build(y, z, n, s)
+        if built is None and found:
+            failures.append(f"builder missed the decreasing chain in [{y},{z}]")
+        if built is not None and [built] != found:
+            failures.append(f"builder chain differs from search in [{y},{z}]")
+        mu = sh.mobius(y, z, n, s)
+        if mu not in (-1, 0, 1) or mu != po.mobius(y, z):
+            failures.append(f"mobius mismatch at [{y},{z}]: {mu} vs {po.mobius(y, z)}")
     return _report("el", failures, checked)
 
 
@@ -224,7 +226,7 @@ def suite_congruence(n: int, s=()) -> dict:
     failures: list[str] = []
     checked = 0
     vecs = sh.lattice_elements(n, frozenset())
-    elems = list(sh.lattice_elements(n, s))
+    elems = sh.lattice_elements(n, s)
     pairs = [(v, q.project(v, s, n)) for v in vecs if q.project(v, s, n) != v]
     for v, w in pairs:
         for z in vecs:
@@ -233,22 +235,12 @@ def suite_congruence(n: int, s=()) -> dict:
                 failures.append(f"join congruence fails: v={v} w={w} z={z}")
             if not q.equivalent(bb.meet(v, z, n), bb.meet(w, z, n), s, n):
                 failures.append(f"meet congruence fails: v={v} w={w} z={z}")
-    meets = _poset(elems).all_meets()
-    named = [*elems, None]
-    for a, mrow in zip(elems, meets.tolist()):
-        for b, m in zip(elems, mrow):
-            checked += 1
-            if q.meet_s(a, b, s, n) != named[m]:
-                failures.append(f"inherited meet wrong at {a},{b}")
-    witness = next(
-        (
-            (a, b)
-            for a in elems
-            for b in elems
-            if not q.vector_in_tns(bb.join(a, b, n), n, s)
-        ),
-        None,
-    )
+    wrong = elems.meets != _poset(elems).all_meets()  # the type-B meet against the oracle's
+    checked += wrong.size
+    for i, j in zip(*(x.tolist() for x in wrong.nonzero())):
+        failures.append(f"inherited meet wrong at {elems[i]},{elems[j]}")
+    pairs = ((a, b) for a in elems for b in elems)
+    witness = next((p for p in pairs if not q.vector_in_tns(bb.join(*p, n), n, s)), None)
     out = _report("congruence", failures, checked)
     out["non_sublattice_witness"] = witness
     return out

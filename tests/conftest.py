@@ -47,6 +47,16 @@ def bracket_vectors(draw, max_n: int):
     return tuple(v), n
 
 
+@pytest.fixture
+def fresh_lattices():
+    """Lattices cached while a kernel or cached field is patched must not
+    outlive the test."""
+    from tamari import shelling as sh
+
+    yield
+    sh.lattice_elements.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def vectors_by_n():
     from tamari import bracket_b as bb

@@ -20,8 +20,8 @@ from tamari import quotient_bds as q
 from tamari import shelling as sh
 from tamari import tamari_a as ta
 from tamari import tri_b
+from tamari import verify as vfy
 from tamari.bracket_b import INF
-from tamari.kinds import lattice_kind
 from tamari.oracle import FinitePoset
 
 FIG2_VECTOR = (0, INF, 0, 0, 2, 0)
@@ -43,6 +43,11 @@ FIG1_CHORDS = [(0, 5), (1, 4), (1, 5), (2, 4)]
 def report(num, ok, text):
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {text}")
     return ok
+
+
+def passed(suite, cases):
+    """Whether the verify suite passes on every (type, n, S) case."""
+    return all(vfy.run_suite(suite, kind, n, s)["passed"] for kind, n, s in cases)
 
 
 def test_criterion_1_cardinalities():
@@ -72,19 +77,8 @@ def test_criterion_2_figures():
 
 
 def test_criterion_3_lattice_vs_oracle():
-    ok = True
-    pairs = 0
-    for n in range(1, 6):
-        vecs = bb.enumerate_vectors(n)
-        po = FinitePoset.build(vecs, bb.leq)
-        meets, joins = po.all_meets(), po.all_joins()
-        ok &= bool((meets >= 0).all())
-        ok &= bool((joins >= 0).all())
-        for i, a in enumerate(vecs):
-            for j, b in enumerate(vecs):
-                pairs += 1
-                ok &= bb.meet(a, b, n) == vecs[meets[i, j]]
-                ok &= bb.join(a, b, n) == vecs[joins[i, j]]
+    ok = passed("lattice", [("b", n, ()) for n in range(1, 6)])
+    pairs = sum(math.comb(2 * n, n) ** 2 for n in range(1, 6))
     assert report(3, ok, f"lattice per oracle; formula meet/join match on {pairs} pairs, n <= 5")
 
 
@@ -126,20 +120,7 @@ def test_criterion_5_closure_maps():
 
 
 def test_criterion_6_bijection():
-    ok = True
-    for n in range(1, 7):
-        vecs = bb.enumerate_vectors(n)
-        images = {}
-        for v in vecs:
-            p = nc.psi(bb.decode(v, n))
-            ok &= p.blocks not in images
-            images[p.blocks] = v
-        ncb = nc.enumerate_ncb(n)
-        ok &= {p.blocks for p in ncb} == set(images)
-        for p in ncb:
-            t = nc.psi_inverse(p)
-            ok &= nc.psi(t).blocks == p.blocks
-            ok &= bb.encode(t) == images[p.blocks]
+    ok = passed("bijection", [("b", n, ()) for n in range(1, 7)])
     assert report(6, ok, "psi bijective onto NC^B with two-sided inverse, n <= 6")
 
 
@@ -156,22 +137,8 @@ def test_criterion_7_left_modularity():
 
 
 def test_criterion_8_el_and_homotopy():
-    ok = True
-    cases = [(n, frozenset()) for n in range(1, 5)]
-    cases += [(3, s) for s in all_subsets(3)]
-    for n, s in cases:
-        rep = sh.verify_el(n, s)
-        ok &= rep["passed"]
-        elems = list(sh.lattice_elements(n, s))
-        po = FinitePoset.build(elems, bb.leq)
-        for y in elems:
-            for z in elems:
-                if not bb.leq(y, z):
-                    continue
-                chains = sh.decreasing_chains(y, z, n, s)
-                ok &= len(chains) <= 1
-                mu = sh.mobius(y, z, n, s)
-                ok &= mu in (-1, 0, 1) and mu == po.mobius(y, z)
+    cases = [("b", n, ()) for n in range(1, 5)] + [("bds", 3, s) for s in all_subsets(3)]
+    ok = passed("el", cases)
     assert report(
         8, ok, "EL property, unique decreasing chains, mobius == oracle (n<=4; all s at n<=3)"
     )
@@ -293,16 +260,8 @@ def test_criterion_11_type_a():
     for n, want in ((1, 2), (2, 5), (3, 14), (4, 42), (5, 132), (6, 429)):
         ok &= ta.catalan(n + 1) == want
         ok &= len(ta.enumerate_a(n)) == want
+    ok &= passed("lattice", [("a", n, ()) for n in range(1, 6)])
     for n in range(1, 6):
-        kind = lattice_kind("a", n)
         vecs = ta.enumerate_a(n)
-        po = FinitePoset.build(vecs, bb.leq)
-        meets, joins = po.all_meets(), po.all_joins()
-        named = [*vecs, None]  # index -1, no meet or join, reads as None
-        for i, a in enumerate(vecs):
-            for j, b in enumerate(vecs):
-                ok &= kind.meet(a, b) == named[meets[i, j]]
-                ok &= kind.join(a, b) == named[joins[i, j]]
-                m = tuple(min(x, y) for x, y in zip(a, b))
-                ok &= ta.is_valid_a(m, n)
+        ok &= all(ta.is_valid_a(tuple(map(min, a, b)), n) for a in vecs for b in vecs)
     assert report(11, ok, "|T_n^A| = Catalan(n+1) (n<=6); lattice ops == oracle (n<=5); min valid")

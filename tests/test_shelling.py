@@ -201,7 +201,8 @@ def test_verify_el_passes():
     assert sh.verify_el(4)["passed"]
 
 
-def test_verify_el_negative_control():
-    rank = {lab: k for k, (lab, _) in enumerate(sh.join_irreducibles(3))}
-    rep = sh.verify_el(3, labeller=lambda a, b: -rank[sh.el_label(a, b, 3)])
+def test_verify_el_negative_control(fresh_lattices):
+    lat = sh.lattice_elements(3, frozenset())
+    lat.ranks = [[-r for r in ranks] for ranks in lat.ranks]  # reversed label order
+    rep = sh.verify_el(3)
     assert not rep["passed"] and rep["violations"]

@@ -1,5 +1,12 @@
+import gc
+import weakref
+
+import pytest
+
 from conftest import all_subsets
+from tamari import bracket_b as bb
 from tamari import quotient_bds as q
+from tamari import shelling as sh
 from tamari import verify as vfy
 from tamari.kinds import TypeB, lattice_kind
 from tamari.oracle import FinitePoset
@@ -33,7 +40,7 @@ def test_suite_lattice_reports_a_wrong_meet_against_both_entries(monkeypatch):
     a, b = elems[1], elems[4]  # a listed before b
     right = lat.meet(a, b)
     true_meet = TypeB.meet
-    for wrong in (elems[-1], (1, 0)):  # another element, then a vector outside T_2^B
+    for wrong in (elems[-1], (1, 0), (0, 7)):  # another element, then vectors outside T_2^B
         def meet(self, x, y, wrong=wrong):
             return wrong if (x, y) == (a, b) else true_meet(self, x, y)
 
@@ -57,15 +64,56 @@ def test_suite_lattice_reports_a_wrong_meet_against_both_entries(monkeypatch):
     assert rep["failures"] == [f"meet({a},{b}) = {right} != oracle meet({b},{a}) = {elems[-1]}"]
 
 
-def test_suite_covers():
-    assert vfy.suite_covers("b", 3)["passed"]
-    assert vfy.suite_covers("a", 3)["passed"]
-    assert vfy.suite_covers("bds", 3, (1, 3))["passed"]
+# (suite, type, S, checked, passed) at n = 3; `lattice` is pinned above.
+PINNED = [
+    ("covers", "a", (), 196, True), ("covers", "b", (), 400, True),
+    ("covers", "bds", (1,), 92, True), ("covers", "bds", (1, 3), 71, True),
+    ("bijection", "a", (), 14, True), ("bijection", "b", (), 40, True),
+    ("bijection", "bds", (2,), 36, True), ("bijection", "bds", (1, 2, 3), 28, True),
+    ("leftmod", "b", (), 19, True), ("leftmod", "bds", (1,), 17, True),
+    ("leftmod", "bds", (3,), 17, True), ("leftmod", "bds", (2, 3), 15, True),
+    ("el", "b", (), 244, True), ("el", "bds", (2,), 196, True), ("el", "bds", (1, 3), 158, True),
+    ("congruence", "bds", (1,), 364, False), ("congruence", "bds", (3,), 364, True),
+]
 
 
-def test_suite_bijection():
-    assert vfy.suite_bijection("b", 3)["passed"]
-    assert vfy.suite_bijection("a", 4)["passed"]
+@pytest.mark.parametrize("suite, kind, s, checked, passed", PINNED)
+def test_suite_checked_counts(suite, kind, s, checked, passed):
+    rep = vfy.run_suite(suite, kind, 3, s)
+    assert (rep["checked"], rep["passed"]) == (checked, passed), rep["failures"][:1]
+
+
+def test_suite_covers_reports_a_claimed_non_cover(monkeypatch):
+    elems = sh.lattice_elements(3, frozenset({1}))
+    a, b = elems[0], elems[-1]  # bottom and top, comparable but no cover
+    covers_s = q._covers_s
+    monkeypatch.setattr(q, "_covers_s", lambda x, y, s, n: (x, y) == (a, b) or covers_s(x, y, s, n))
+    rep = vfy.suite_covers("bds", 3, (1,))
+    assert rep["failures"] == [f"quotient cover mismatch at {a} -> {b}"]
+
+
+def test_suite_congruence_reports_a_wrong_inherited_meet(monkeypatch, fresh_lattices):
+    elems = list(sh.lattice_elements(3, frozenset({3})))
+    a, b = elems[1], elems[4]  # a listed before b, so the table calls meet(a, b)
+    meet = bb.meet
+    monkeypatch.setattr(bb, "meet", lambda x, y, n: elems[0] if (x, y) == (a, b) else meet(x, y, n))
+    sh.lattice_elements.cache_clear()
+    rep = vfy.suite_congruence(3, (3,))
+    assert rep["failures"] == [f"inherited meet wrong at {a},{b}", f"inherited meet wrong at {b},{a}"]
+
+
+def test_cache_clear_drops_every_per_lattice_structure():
+    s = frozenset({1})
+    lat = sh.lattice_elements(3, s)
+    assert vfy.suite_el(3, s)["passed"] and vfy.suite_leftmod(3, s)["passed"]
+    built = [weakref.ref(a) for a in (lat.order, lat.meets, lat.joins, *lat.strict)]
+    assert lat.covers and lat.ranks and lat.index
+    sh.lattice_elements.cache_clear()
+    fresh = sh.lattice_elements(3, s)
+    assert fresh is not lat and fresh == lat and set(vars(fresh)) == {"n", "s"}
+    del lat
+    gc.collect()
+    assert not any(ref() for ref in built)
 
 
 def test_suite_bijection_restricts_to_tns():
@@ -74,14 +122,6 @@ def test_suite_bijection_restricts_to_tns():
             rep = vfy.suite_bijection("bds", n, s)
             assert rep["passed"], (n, s, rep["failures"][:1])
             assert rep["checked"] == 2 * len(q.elements_tns(n, s))
-    assert vfy.suite_bijection("bds", 3, (1, 3))["checked"] == 32
-
-
-def test_suite_leftmod_and_el():
-    assert vfy.suite_leftmod(3)["passed"]
-    assert vfy.suite_leftmod(3, (3,))["passed"]
-    rep = vfy.suite_el(3, (2,))
-    assert rep["passed"] and rep["checked"] > 0
 
 
 def test_suite_congruence_reports_erratum():
