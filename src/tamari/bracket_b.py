@@ -254,23 +254,21 @@ def up(f: Vector, n: int) -> Vector:
     """
     if not in_m2(f, n):
         raise ValueError(f"up is only defined on vectors satisfying (ii): {f}")
-    result = _up(f, n)
-    _check_valid(result, n)
-    return result
+    return _check_valid(_up(list(f), n), n)
 
 
-def _up(f: Vector, n: int) -> Vector:
-    """`up` without its checks: f must satisfy (ii)."""
-    g: list = []
-    for i in range(n):
-        best = f[i]
-        if best != INF:
-            for j in range(1, min(int(f[i]), i) + 1):
-                if g[i - j] + j > best:
-                    best = g[i - j] + j
-            if best >= n:
-                best = INF
-        g.append(best)
+def _up(g: list, n: int) -> Vector:
+    """`up` without its checks, in place on g: a fresh M^(ii) list, entries in [0, n-1] + {inf}.
+    Safe: g_i reads only g_{i-j} with j >= 1, already final.  g_0 never changes."""
+    for i in range(1, n):
+        x = g[i]
+        if x < n:
+            j = x if x < i else i
+            while j:
+                if g[i - j] + j > x:
+                    x = g[i - j] + j
+                j -= 1
+            g[i] = x if x < n else INF
     return tuple(g)
 
 
@@ -282,34 +280,31 @@ def down(f: Vector, n: int) -> Vector:
     """
     if not in_m1(f, n):
         raise ValueError(f"down is only defined on vectors satisfying (i): {f}")
-    result = _down(f, n)
-    _check_valid(result, n)
-    return result
+    return _check_valid(_down(list(f), n), n)
 
 
-def _down(f: Vector, n: int) -> Vector:
-    """`down` without its checks: f must satisfy (i)."""
-    g = []
+def _down(g: list, n: int) -> Vector:
+    """`down` without its checks, in place on g: a fresh M^(i) list, entries in [0, n-1] + {inf}.
+    Safe: step i writes only g_i and reads only g_{n+i-x} with x > i, not yet written."""
     for i in range(n):
-        x = f[i]
-        if x != INF and x >= i + 1 and f[n + i - x] != INF:
-            x = int(x) - 1
-            while x >= i + 1 and f[n + i - x] != INF:
+        x = g[i]
+        if i < x < n:
+            while x > i and g[n + i - x] < n:
                 x -= 1
-        g.append(x)
+            g[i] = x
     return tuple(g)
 
 
 def meet(a: Vector, b: Vector, n: int) -> Vector:
-    """`down` of the componentwise min, which satisfies (i) for valid inputs.
+    """`_down` in place on a fresh componentwise-min list, which satisfies (i) for valid inputs.
     It checks nothing, so it is defined only on valid inputs; `tamari.meet` checks them."""
-    return _down(tuple([x if x < y else y for x, y in zip(a, b, strict=True)]), n)
+    return _down([x if x < y else y for x, y in zip(a, b, strict=True)], n)
 
 
 def join(a: Vector, b: Vector, n: int) -> Vector:
-    """`up` of the componentwise max, which satisfies (ii) for valid inputs.
+    """`_up` in place on a fresh componentwise-max list, which satisfies (ii) for valid inputs.
     It checks nothing, so it is defined only on valid inputs; `tamari.join` checks them."""
-    return _up(tuple([x if x > y else y for x, y in zip(a, b, strict=True)]), n)
+    return _up([x if x > y else y for x, y in zip(a, b, strict=True)], n)
 
 
 def bottom_vector(n: int) -> Vector:

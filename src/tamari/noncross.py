@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import inf as INF
 
 from . import bracket_b as bb
-from .polygon import chord_kind, is_barred, label_value, n_vertices
+from .polygon import chord_kind, is_barred, json_n, label_value, n_vertices
 from .tri_b import TriangulationB, red_set
 
 
@@ -71,7 +71,7 @@ class NoncrossingPartitionB:
                 raise ValueError(f"partition entries must be integers, got {x!r}")
         # an integer string such as "-2" reads as its integer
         blocks = frozenset(frozenset(int(x) for x in b) for b in data["blocks"])
-        return cls(int(data["n"]), blocks)
+        return cls(json_n(int(data["n"])), blocks)
 
 
 def circle_pos(x: int, n: int) -> int:

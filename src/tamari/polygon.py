@@ -40,6 +40,13 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def json_n(x) -> int:
+    """The size n of a JSON object: an integer of at least 1, else ValueError."""
+    if json_int(x, "n") < 1:
+        raise ValueError(f"n must be at least 1, got {x}")
+    return x
+
+
 def idx_of(label: str | int, n: int) -> int:
     """Parse a label ("3", "-3", or the signed integer) to a circular index."""
     v = int(label) if isinstance(label, str) else json_int(label, "a vertex label")

@@ -268,12 +268,14 @@ def decreasing_chain_build(y, z, n: int, s=frozenset()):
     return chain
 
 
+def chain_mobius(chain) -> int:
+    """Mobius value of a built decreasing chain (or None): (-1)^len or 0."""
+    return 0 if chain is None else (-1) ** (len(chain) - 1)
+
+
 def mobius(y, z, n: int, s=frozenset()) -> int:
-    """Mobius value from the decreasing-chain rule: (-1)^len or 0."""
-    chain = decreasing_chain_build(y, z, n, s)
-    if chain is None:
-        return 0
-    return -1 if (len(chain) - 1) % 2 else 1
+    """Mobius value from the decreasing-chain rule, via `chain_mobius`."""
+    return chain_mobius(decreasing_chain_build(y, z, n, s))
 
 
 def interval_homotopy(y, z, n: int, s=frozenset()):

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import bracket_b as bb
-from .polygon import chord, crosses, json_int
+from .polygon import chord, crosses, json_int, json_n
 
 Chord = tuple[int, int]
 Vector = tuple
@@ -59,7 +59,7 @@ class TriangulationA:
     @classmethod
     def from_json(cls, data: dict) -> "TriangulationA":
         chords = [[json_int(x, "a chord endpoint") for x in c] for c in data["chords"]]
-        return cls.from_chords(json_int(data["n"], "n"), chords)
+        return cls.from_chords(json_n(data["n"]), chords)
 
 
 def catalan(k: int) -> int:

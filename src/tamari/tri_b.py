@@ -23,7 +23,7 @@ from .polygon import (
     crosses,
     is_barred,
     is_polygon_edge,
-    json_int,
+    json_n,
     label_value,
     n_vertices,
 )
@@ -71,7 +71,7 @@ class TriangulationB:
 
     @classmethod
     def from_json(cls, data: dict) -> "TriangulationB":
-        n = json_int(data["n"], "n")
+        n = json_n(data["n"])
         return cls.from_chords(n, [chord_from_labels(p, n) for p in data["chords"]])
 
 

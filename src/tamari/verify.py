@@ -210,7 +210,7 @@ def suite_el(n: int, s=()) -> dict:
             failures.append(f"builder missed the decreasing chain in [{y},{z}]")
         if built is not None and [built] != found:
             failures.append(f"builder chain differs from search in [{y},{z}]")
-        mu = sh.mobius(y, z, n, s)
+        mu = sh.chain_mobius(built)
         if mu not in (-1, 0, 1) or mu != po.mobius(y, z):
             failures.append(f"mobius mismatch at [{y},{z}]: {mu} vs {po.mobius(y, z)}")
     return _report("el", failures, checked)

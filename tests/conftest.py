@@ -19,8 +19,9 @@ def all_subsets(n):
 
 
 @st.composite
-def bracket_vectors(draw, max_n: int):
-    """(v, n): a valid type-B bracket vector, filled left to right.
+def bracket_vectors(draw, max_n: int, min_n: int = 1):
+    """(v, n): a valid type-B bracket vector with min_n <= n <= max_n, filled
+    left to right.
 
     Coordinate k (0-based) is drawn from the finite x that keep condition
     (i) against every earlier coordinate, plus inf; it is inf alone when an
@@ -28,7 +29,7 @@ def bracket_vectors(draw, max_n: int):
     inf is always legal at the end of a valid prefix, so the fill never
     gets stuck.
     """
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     v: list = []
     pinned: set = set()
     for k in range(n):

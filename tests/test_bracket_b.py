@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tamari
-from conftest import all_subsets
+from conftest import all_subsets, bracket_vectors
 from tamari import bracket_b as bb
 from tamari import quotient_bds as q
 from tamari import tamari_a as ta
@@ -130,8 +130,9 @@ def test_down_examples():
 
 
 def test_up_down_semantics_exhaustive(vectors_by_n):
-    # up(f) is the least valid vector above f; down(f) the greatest below
-    for n in (1, 2, 3):
+    # up(f) is the least valid vector above f; down(f) the greatest below,
+    # on every tuple of the box up to n = 4 (all of M^(i) and M^(ii))
+    for n in (1, 2, 3, 4):
         vecs = vectors_by_n[n]
         for f in all_tuples(n):
             if bb.in_m2(f, n):
@@ -285,6 +286,22 @@ def test_meet_join_bound_properties(vectors_by_n, data):
     m, j = bb.meet(a, b, n), bb.join(a, b, n)
     assert bb.leq(m, a) and bb.leq(m, b)
     assert bb.leq(a, j) and bb.leq(b, j)
+
+
+@given(st.data())
+def test_meet_join_large_n(data):
+    # the kernels at n up to 60: meet and join are valid, the bounds,
+    # commute, absorb, are idempotent, and equal the checked down(min) / up(max)
+    a, n = data.draw(bracket_vectors(max_n=60))
+    b, _ = data.draw(bracket_vectors(max_n=n, min_n=n))
+    m, j = bb.meet(a, b, n), bb.join(a, b, n)
+    assert bb.is_valid(m, n) and bb.is_valid(j, n)
+    assert bb.leq(m, a) and bb.leq(m, b) and bb.leq(a, j) and bb.leq(b, j)
+    assert bb.meet(b, a, n) == m and bb.join(b, a, n) == j
+    assert bb.join(a, m, n) == a == bb.meet(a, j, n)
+    assert bb.meet(a, a, n) == a == bb.join(a, a, n)
+    assert m == bb.down(tuple(map(min, a, b)), n)
+    assert j == bb.up(tuple(map(max, a, b)), n)
 
 
 def test_json_round_trip():

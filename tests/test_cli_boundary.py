@@ -71,6 +71,25 @@ def test_malformed_input_is_one_error_line(argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encode", "--type", "a", "--triangulation", '{"n": -1, "chords": []}'],
+        ["encode", "--type", "a", "--triangulation", '{"n": 0, "chords": []}'],
+        ["encode", "--triangulation", '{"n": -1, "chords": []}'],
+        ["encode", "--triangulation", '{"n": 0, "chords": []}'],
+        ["encode", "--type", "bds", "--s", "1", "--triangulation", '{"n": 0, "chords": []}'],
+        ["psi-inv", "--partition", '{"n": 0, "blocks": []}'],
+        ["psi-inv", "--partition", '{"n": "-2", "blocks": []}'],
+    ],
+)
+def test_json_size_below_one_is_refused(argv):
+    code, out, err = run(*argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "n must be at least 1" in err
+
+
 def test_count_closed_form():
     assert run("count", "--n", "30")[1] == "118264581564861424\n"  # C(60, 30)
     assert run("count", "--type", "a", "--n", "30")[1] == f"{ta.catalan(31)}\n"
