@@ -42,10 +42,28 @@ def vector_from_json(data) -> Vector:
     return tuple(entry_from_json(x) for x in data)
 
 
-def entries_in_range(v: Vector, n: int) -> bool:
-    if len(v) != n:
-        return False
-    return all(x == INF or (isinstance(x, int) and 0 <= x <= n - 1) for x in v)
+def _in_range(v: Vector, n: int) -> Vector:
+    """v, once it has n entries, each in [0, n-1] + {inf}."""
+    if len(v) != n or not all(x == INF or (isinstance(x, int) and 0 <= x <= n - 1) for x in v):
+        raise ValueError(f"entries out of range for n={n}: {v}")
+    return v
+
+
+def _witness_i(v: Vector, n: int):
+    """The first condition (i) pair (i, j), 1-based, or None."""
+    for i, j in itertools.combinations(range(n), 2):
+        bound = v[j] - (j - i)
+        if bound >= 0 and v[i] > bound:
+            return (i + 1, j + 1)
+    return None
+
+
+def _witness_ii(v: Vector, n: int):
+    """The first condition (ii) index i, 1-based, or None."""
+    for i in range(n):
+        if v[i] != INF and v[i] >= i + 1 and v[n + i - v[i]] != INF:
+            return i + 1
+    return None
 
 
 def violation(v: Vector, n: int):
@@ -54,17 +72,10 @@ def violation(v: Vector, n: int):
     Returns ("i", (i, j)) for a condition (i) witness pair or ("ii", i) for
     a condition (ii) witness index, with 1-based positions.
     """
-    if not entries_in_range(v, n):
-        raise ValueError(f"entries out of range for n={n}: {v}")
-    for i, j in itertools.combinations(range(n), 2):
-        bound = v[j] - (j - i)
-        if bound >= 0 and v[i] > bound:
-            return ("i", (i + 1, j + 1))
-    for i in range(n):
-        if v[i] != INF and v[i] >= i + 1:
-            if v[n + i - v[i]] != INF:
-                return ("ii", i + 1)
-    return None
+    if (w := _witness_i(_in_range(v, n), n)) is not None:
+        return ("i", w)
+    w = _witness_ii(v, n)
+    return None if w is None else ("ii", w)
 
 
 def is_valid(v: Vector, n: int) -> bool:
@@ -73,18 +84,12 @@ def is_valid(v: Vector, n: int) -> bool:
 
 def in_m1(v: Vector, n: int) -> bool:
     """Condition (i) alone."""
-    w = violation(v, n)
-    return w is None or w[0] != "i"
+    return _witness_i(_in_range(v, n), n) is None
 
 
 def in_m2(v: Vector, n: int) -> bool:
     """Condition (ii) alone."""
-    if not entries_in_range(v, n):
-        raise ValueError(f"entries out of range for n={n}: {v}")
-    for i in range(n):
-        if v[i] != INF and v[i] >= i + 1 and v[n + i - v[i]] != INF:
-            return False
-    return True
+    return _witness_ii(_in_range(v, n), n) is None
 
 
 def _check_valid(v: Vector, n: int) -> Vector:

@@ -131,10 +131,11 @@ class TypeB(Kind):
     def mobius(self, y, z) -> dict:
         if not bb.leq(y, z):
             raise ValueError("first vector must be below the second")
-        h = sh.interval_homotopy(y, z, self.n, self.s)
+        chain = sh.decreasing_chain_build(y, z, self.n, self.s)
+        h = sh.chain_homotopy(chain)
         return {
             "interval": [bb.vector_to_json(y), bb.vector_to_json(z)],
-            "mobius": sh.mobius(y, z, self.n, self.s),
+            "mobius": sh.chain_mobius(chain),
             "homotopy": "contractible" if h[0] == "contractible" else f"sphere({h[1]})",
         }
 

@@ -278,15 +278,17 @@ def mobius(y, z, n: int, s=frozenset()) -> int:
     return chain_mobius(decreasing_chain_build(y, z, n, s))
 
 
-def interval_homotopy(y, z, n: int, s=frozenset()):
-    """("sphere", d) for a decreasing chain of length d+2, else ("contractible",).
+def chain_homotopy(chain):
+    """("sphere", d) for a built decreasing chain of length d+2, else ("contractible",).
 
     Covers give the (-1)-sphere (empty complex); y = z reports dimension -2.
     """
-    chain = decreasing_chain_build(y, z, n, s)
-    if chain is None:
-        return ("contractible",)
-    return ("sphere", len(chain) - 3)
+    return ("contractible",) if chain is None else ("sphere", len(chain) - 3)
+
+
+def interval_homotopy(y, z, n: int, s=frozenset()):
+    """Homotopy type of the open interval (y, z), via `chain_homotopy`."""
+    return chain_homotopy(decreasing_chain_build(y, z, n, s))
 
 
 def verify_el(n: int, s=frozenset()) -> dict:

@@ -2,9 +2,11 @@
 
 Each suite is a thin composition of module-level operations; it returns a
 report dict with a "passed" flag and a list of human-readable failure
-strings.  The CLI maps suite failures to exit code 2.  Suites that take a
-type work through its kind object (`tamari.kinds`), branching only where
-the witnesses differ on purpose.
+strings.  The CLI maps suite failures to exit code 2.  Every suite is
+`suite_<name>(kind, n, s=())` and reads n and S through the kind object
+(`tamari.kinds`), branching only where the witnesses differ on purpose.
+`run_suite` refuses a suite the kind lacks and looks `suite_<name>` up when
+it runs, so a patched or traced suite is the one called.
 
 Suites over T_n^S work in the index space of `shelling.lattice_elements`.
 The witnesses stay independent of what they check: the oracle receives
@@ -40,10 +42,6 @@ def _report(name: str, failures: list[str], checked: int) -> dict:
         "failures": failures,
         "passed": not failures,
     }
-
-
-def _parse_s(s) -> frozenset:
-    return frozenset(s or ())
 
 
 def _poset(elems):
@@ -176,9 +174,9 @@ def suite_bijection(kind: str, n: int, s=()) -> dict:
     return _report("bijection", failures, checked)
 
 
-def suite_leftmod(n: int, s=()) -> dict:
+def suite_leftmod(kind: str, n: int, s=()) -> dict:
     """Chain elements are left modular and the chain is unrefinable."""
-    s = _parse_s(s)
+    s = lattice_kind(kind, n, s).s
     failures: list[str] = []
     checked = 0
     chain = sh.left_modular_chain(n, s)
@@ -193,9 +191,9 @@ def suite_leftmod(n: int, s=()) -> dict:
     return _report("leftmod", failures, checked)
 
 
-def suite_el(n: int, s=()) -> dict:
+def suite_el(kind: str, n: int, s=()) -> dict:
     """EL property, decreasing-chain uniqueness and Mobius vs oracle."""
-    s = _parse_s(s)
+    s = lattice_kind(kind, n, s).s
     rep = sh.verify_el(n, s)
     failures = [str(v) for v in rep["violations"]]
     checked = rep["intervals_checked"]
@@ -216,13 +214,13 @@ def suite_el(n: int, s=()) -> dict:
     return _report("el", failures, checked)
 
 
-def suite_congruence(n: int, s=()) -> dict:
+def suite_congruence(kind: str, n: int, s=()) -> dict:
     """Congruence both ways, plus quotient order = subposet order.
 
     The meet half of the congruence is known to fail (see the erratum in
     the README); it is checked faithfully regardless.
     """
-    s = _parse_s(s)
+    s = lattice_kind(kind, n, s).s
     failures: list[str] = []
     checked = 0
     vecs = sh.lattice_elements(n, frozenset())
@@ -246,23 +244,16 @@ def suite_congruence(n: int, s=()) -> dict:
     return out
 
 
-# Suite name -> runner; the suite functions are looked up when one runs.
-_RUNNERS = {
-    "lattice": lambda kind, n, s: suite_lattice(kind, n, s),
-    "covers": lambda kind, n, s: suite_covers(kind, n, s),
-    "bijection": lambda kind, n, s: suite_bijection(kind, n, s),
-    "leftmod": lambda kind, n, s: suite_leftmod(n, s),
-    "el": lambda kind, n, s: suite_el(n, s),
-    "congruence": lambda kind, n, s: suite_congruence(n, s),
-}
-SUITES = tuple(_RUNNERS)
+SUITES = ("lattice", "covers", "bijection", "leftmod", "el", "congruence")
 
 
 def run_suite(name: str, kind: str, n: int, s=()) -> dict:
-    if name not in _RUNNERS:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    out = _RUNNERS[name](kind, n, s)
-    out.update({"type": kind, "n": n, "s": sorted(_parse_s(s))})
+    lat = lattice_kind(kind, n, s)
+    lat.require(f"suite {name}")
+    out = globals()[f"suite_{name}"](kind, n, s)
+    out.update({"type": kind, "n": n, "s": sorted(lat.s)})
     return out
 
 

@@ -63,6 +63,7 @@ def python(*args, **kwargs):
         ["encode", "--type", "a", "--triangulation", '{"n": 1, "chords": [[0.5, 2]]}'],
         ["encode", "--type", "a", "--triangulation", '{"n": true, "chords": [[0, 2]]}'],
         ["encode", "--triangulation", '{"n": 2.7, "chords": [[1, -1], [1, -2], [-1, 2]]}'],
+        ["enumerate", "--n", "2", "--format", "dot"],
     ],
 )
 def test_malformed_input_is_one_error_line(argv):

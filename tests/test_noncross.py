@@ -59,31 +59,6 @@ def test_psi_bar_involution(vectors_by_n):
             assert nc.bar_blocks(p.blocks) == p.blocks
 
 
-def test_psi_bijective_onto_ncb(vectors_by_n):
-    for n in (1, 2, 3, 4, 5):
-        images = {nc.psi(bb.decode(v, n)).blocks for v in vectors_by_n[n]}
-        assert len(images) == len(vectors_by_n[n])
-        assert images == {p.blocks for p in nc.enumerate_ncb(n)}
-
-
-def test_enumerate_ncb_counts():
-    import math
-
-    for n in range(1, 6):
-        ncb = nc.enumerate_ncb(n)
-        assert len(ncb) == math.comb(2 * n, n)
-        assert all(nc.is_noncrossing_b(p) for p in ncb)
-
-
-def test_psi_inverse_round_trips(vectors_by_n):
-    for n in (1, 2, 3, 4):
-        for v in vectors_by_n[n]:
-            p = nc.psi(bb.decode(v, n))
-            assert bb.encode(nc.psi_inverse(p)) == v
-        for p in nc.enumerate_ncb(n):
-            assert nc.psi(nc.psi_inverse(p)).blocks == p.blocks
-
-
 def test_psi_inverse_round_trips_n7():
     n = 7
     vecs = bb.enumerate_vectors(n)

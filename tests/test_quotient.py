@@ -4,7 +4,6 @@ from conftest import all_subsets
 from tamari import bracket_b as bb
 from tamari import quotient_bds as q
 from tamari.bracket_b import INF
-from tamari.oracle import FinitePoset
 
 
 def test_in_tns_examples(triangulations_by_n):
@@ -88,19 +87,6 @@ def test_upper_covers_are_the_hasse_covers():
                 assert q.upper_covers_s(v, s, n) == [w for w in elems if q.covers_s(v, w, s, n)]
 
 
-def test_lattice_ops_match_subposet_oracle():
-    for n in (1, 2, 3):
-        for s in all_subsets(n):
-            elems = q.elements_tns(n, s)
-            po = FinitePoset.build(elems, bb.leq)
-            assert po.is_lattice()
-            meets, joins = po.all_meets(), po.all_joins()
-            for i, a in enumerate(elems):
-                for j, b in enumerate(elems):
-                    assert q.meet_s(a, b, s, n) == elems[meets[i, j]]
-                    assert q.join_s(a, b, s, n) == elems[joins[i, j]]
-
-
 def test_covers_examples():
     s = frozenset({3})
     assert q.covers_s((0, 1, 0), (0, 1, INF), s, 3)
@@ -159,14 +145,6 @@ def test_meet_congruence_erratum():
     assert bb.meet(v, z, n) == (0, 0)
     assert bb.meet(w, z, n) == (INF, 0)
     assert not q.equivalent((0, 0), (INF, 0), s, n)
-
-
-def test_not_closed_under_join():
-    # T_3^{3} is not a sublattice of T_3^B
-    s = frozenset({3})
-    a, b = (0, 1, 0), (0, 0, 1)
-    assert q.vector_in_tns(a, 3, s) and q.vector_in_tns(b, 3, s)
-    assert not q.vector_in_tns(bb.join(a, b, 3), 3, s)
 
 
 def test_counts_match_bds_partitions():

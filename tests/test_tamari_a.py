@@ -52,13 +52,6 @@ def test_validate_examples():
     assert ta.validate_a((0, 1, 1, 0, 0), 4) == ("i", (2, 3))
 
 
-def test_catalan_counts():
-    expected = {1: 2, 2: 5, 3: 14, 4: 42, 5: 132, 6: 429}
-    for n, cnt in expected.items():
-        assert ta.catalan(n + 1) == cnt
-        assert len(ta.enumerate_a(n)) == cnt
-
-
 def test_decode_rejects_invalid():
     with pytest.raises(ValueError):
         ta.decode_a((0, 2, 0, 0, 0), 4)
@@ -78,24 +71,6 @@ def test_up_at_n_plus_1_semantic():
         for x in domain:
             above = [r for r in vecs if bb.leq(x, r)]
             assert bb.up(x, n + 1) == min(above)
-
-
-def test_covers_match_flips():
-    for n in range(1, 5):
-        kind = lattice_kind("a", n)
-        vecs = ta.enumerate_a(n)
-        tris = {v: ta.decode_a(v, n) for v in vecs}
-        for a in vecs:
-            ups = ta.green_flips_a(tris[a])
-            for b in vecs:
-                assert kind.covers(a, b) == (tris[b] in ups)
-
-
-def test_psi_a_bijective():
-    for n in range(1, 6):
-        vecs = ta.enumerate_a(n)
-        images = {ta.psi_a(ta.decode_a(v, n)) for v in vecs}
-        assert len(images) == ta.catalan(n + 1)
 
 
 def test_json_round_trip():

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import pytest
 
@@ -231,20 +230,6 @@ def test_covers_by_flip(triangulations_by_n):
     assert len(ups) == 3
     assert {bb.encode(t) for t in ups} == {(0, 1, 0), (0, 0, 1), (INF, 0, 0)}
     assert not tri_b.covers_by_flip(bot, bot)
-
-
-def test_covers_by_flip_matches_bracket_covers(vectors_by_n, triangulations_by_n):
-    for n in (1, 2, 3, 4):
-        vecs = vectors_by_n[n]
-        tris = triangulations_by_n[n]
-        for a in vecs:
-            flips = {b for b in vecs if tri_b.covers_by_flip(tris[a], tris[b])}
-            assert flips == set(bb.upper_covers(a, n))
-
-
-def test_enumeration_counts():
-    for n in range(1, 6):
-        assert len(tri_b.enumerate_triangulations(n)) == math.comb(2 * n, n)
 
 
 def test_json_round_trip():

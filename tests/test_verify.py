@@ -12,13 +12,6 @@ from tamari.kinds import TypeB, lattice_kind
 from tamari.oracle import FinitePoset
 
 
-def test_triple_count_check():
-    for n in (1, 2, 3):
-        rep = vfy.triple_count_check(n)
-        assert rep["passed"]
-        assert rep["vectors"] == rep["flip_graph"] == rep["noncrossing"] == rep["binomial"]
-
-
 def test_suite_lattice_all_types():
     """`checked` counts the N^2 oracle entries, plus the lattice-algebra
     triples for b and bds: all N^3 of them up to 10,000, else 2000."""
@@ -83,6 +76,20 @@ def test_suite_checked_counts(suite, kind, s, checked, passed):
     assert (rep["checked"], rep["passed"]) == (checked, passed), rep["failures"][:1]
 
 
+@pytest.mark.parametrize("suite", ["leftmod", "el", "congruence"])
+def test_run_suite_refuses_a_type_b_suite_for_type_a(suite):
+    with pytest.raises(ValueError, match=f"suite {suite} applies to types b and bds only"):
+        vfy.run_suite(suite, "a", 2)
+
+
+def test_run_suite_looks_the_suite_up_when_it_runs(monkeypatch):
+    # perfbench traces `verify.suite_<name>` by patching the module attribute
+    calls = []
+    monkeypatch.setattr(vfy, "suite_el", lambda *args: calls.append(args) or {"passed": True})
+    assert vfy.run_suite("el", "bds", 2, (1,)) == {"passed": True, "type": "bds", "n": 2, "s": [1]}
+    assert calls == [("bds", 2, (1,))]
+
+
 def test_suite_covers_reports_a_claimed_non_cover(monkeypatch):
     elems = sh.lattice_elements(3, frozenset({1}))
     a, b = elems[0], elems[-1]  # bottom and top, comparable but no cover
@@ -98,14 +105,14 @@ def test_suite_congruence_reports_a_wrong_inherited_meet(monkeypatch, fresh_latt
     meet = bb.meet
     monkeypatch.setattr(bb, "meet", lambda x, y, n: elems[0] if (x, y) == (a, b) else meet(x, y, n))
     sh.lattice_elements.cache_clear()
-    rep = vfy.suite_congruence(3, (3,))
+    rep = vfy.suite_congruence("bds", 3, (3,))
     assert rep["failures"] == [f"inherited meet wrong at {a},{b}", f"inherited meet wrong at {b},{a}"]
 
 
 def test_cache_clear_drops_every_per_lattice_structure():
     s = frozenset({1})
     lat = sh.lattice_elements(3, s)
-    assert vfy.suite_el(3, s)["passed"] and vfy.suite_leftmod(3, s)["passed"]
+    assert vfy.suite_el("bds", 3, s)["passed"] and vfy.suite_leftmod("bds", 3, s)["passed"]
     built = [weakref.ref(a) for a in (lat.order, lat.meets, lat.joins, *lat.strict)]
     assert lat.covers and lat.ranks and lat.index
     sh.lattice_elements.cache_clear()
@@ -125,11 +132,11 @@ def test_suite_bijection_restricts_to_tns():
 
 
 def test_suite_congruence_reports_erratum():
-    rep = vfy.suite_congruence(2, (1,))
+    rep = vfy.suite_congruence("bds", 2, (1,))
     assert not rep["passed"]
     assert all("meet congruence" in f for f in rep["failures"])
     assert rep["non_sublattice_witness"] is None  # no witness at (2, {1})
-    rep3 = vfy.suite_congruence(3, (3,))
+    rep3 = vfy.suite_congruence("bds", 3, (3,))
     assert rep3["non_sublattice_witness"] is not None
 
 
