@@ -92,14 +92,12 @@ def cmd_psi(args, kind) -> None:
 
 
 def cmd_psi_inv(args, kind) -> None:
-    kind.require("psi-inv")
     t = kind.psi_inverse(args.partition)
     out = {"vector": kind.vector_json(kind.encode(t)), "triangulation": t.to_json()}
     _emit(args, json.dumps(out))
 
 
 def cmd_mobius(args, kind) -> None:
-    kind.require("mobius")
     y = kind.parse_vector(args.vector)
     z = kind.parse_vector(args.other)
     _emit(args, json.dumps(kind.mobius(y, z)))

@@ -4,11 +4,12 @@ All three use bracket vectors under the componentwise order and take their
 lattice operations from `bracket_b` (type A at size n+1).  A kind binds n
 (and S for BD^S) and owns what differs: parsing outside input (raising only
 ValueError), JSON formatting, enumeration and counting, the geometric
-views, the capabilities it lacks and the verify suites that apply to it.
-Parsing validates, so the operations may call unchecked kernels
-(`bb._covers`).  `lattice_kind` is the only place a type name is compared.
-Kinds call library functions through their modules when they run
-(`bb.meet(...)`), so outside-in tracing sees every call.
+views, and `suites`, the one record of the verify suites that apply to it.
+A command a kind lacks is refused by its own method.  Parsing validates,
+so the operations may call unchecked kernels (`bb._covers`).
+`lattice_kind` is the only place a type name is compared.  Kinds call
+library functions through their modules when they run (`bb.meet(...)`),
+so outside-in tracing sees every call.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ def _parse_json(text: str, what: str):
 
 
 class Kind:
-    """What every kind shares: input parsing, capabilities and enumeration."""
-
-    missing: dict = {}  # capability -> the message refusing it
+    """What every kind shares: input parsing, counting and enumeration."""
 
     def __init__(self, n, s=frozenset()):
         self.n = n
@@ -48,10 +47,6 @@ class Kind:
 
     def __str__(self) -> str:
         return f"type={self.name} n={self.n}" + (f" s={sorted(self.s)}" if self.s else "")
-
-    def require(self, capability: str) -> None:
-        if capability in self.missing:
-            raise ValueError(self.missing[capability])
 
     def parse_vector(self, text: str) -> tuple:
         data = _parse_json(text, "vector")
@@ -197,11 +192,6 @@ class TypeA(Kind):
 
     name = "a"
     suites = ("lattice", "covers", "bijection")
-    missing = {c: f"{c} is implemented for types b and bds only" for c in ("psi-inv", "mobius")}
-    missing |= {
-        f"suite {x}": f"suite {x} applies to types b and bds only"
-        for x in ("leftmod", "el", "congruence")
-    }
     triangulation = ta.TriangulationA
 
     def _checked(self, data):
@@ -250,6 +240,12 @@ class TypeA(Kind):
 
     def psi_json(self, v):
         return ta.partition_a_to_json(ta.psi_a(ta.decode_a(v, self.n)))
+
+    def psi_inverse(self, text: str):
+        raise ValueError("psi-inv is implemented for types b and bds only")
+
+    def mobius(self, y, z) -> dict:
+        raise ValueError("mobius is implemented for types b and bds only")
 
 
 def lattice_kind(type: str, n=None, s=None) -> Kind:

@@ -119,7 +119,12 @@ def chord_to_labels(c: Chord, n: int) -> list[str]:
     return [label_of(c[0], n), label_of(c[1], n)]
 
 
-def chord_from_labels(pair, n: int) -> Chord:
+def two_endpoints(pair):
     if len(pair) != 2:
         raise ValueError(f"chord must have two endpoints, got {pair!r}")
-    return chord(idx_of(pair[0], n), idx_of(pair[1], n))
+    return pair
+
+
+def chord_from_labels(pair, n: int) -> Chord:
+    a, b = two_endpoints(pair)
+    return chord(idx_of(a, n), idx_of(b, n))

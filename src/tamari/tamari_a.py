@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import bracket_b as bb
-from .polygon import chord, crosses, json_int, json_n
+from .polygon import chord, crosses, json_int, json_n, two_endpoints
 
 Chord = tuple[int, int]
 Vector = tuple
@@ -58,7 +58,8 @@ class TriangulationA:
 
     @classmethod
     def from_json(cls, data: dict) -> "TriangulationA":
-        chords = [[json_int(x, "a chord endpoint") for x in c] for c in data["chords"]]
+        pairs = [two_endpoints(c) for c in data["chords"]]
+        chords = [[json_int(x, "a chord endpoint") for x in c] for c in pairs]
         return cls.from_chords(json_n(data["n"]), chords)
 
 

@@ -1,12 +1,12 @@
 """Named verification suites run against the brute-force oracle.
 
-Each suite is a thin composition of module-level operations; it returns a
-report dict with a "passed" flag and a list of human-readable failure
-strings.  The CLI maps suite failures to exit code 2.  Every suite is
-`suite_<name>(kind, n, s=())` and reads n and S through the kind object
-(`tamari.kinds`), branching only where the witnesses differ on purpose.
-`run_suite` refuses a suite the kind lacks and looks `suite_<name>` up when
-it runs, so a patched or traced suite is the one called.
+Every suite is `suite_<name>(kind, n, s=())`, a thin composition of
+module-level operations.  It starts from the kind object (`tamari.kinds`),
+which refuses a suite its `suites` does not list, and reads S and the
+elements through it, so the element cap covers every suite.  Its report
+holds "passed", the failure strings and the type, n and S it ran on; the
+CLI maps a failure to exit code 2.  `run_suite` looks `suite_<name>` up
+when it runs, so a patched or traced suite is the one called.
 
 Suites over T_n^S work in the index space of `shelling.lattice_elements`.
 The witnesses stay independent of what they check: the oracle receives
@@ -28,20 +28,29 @@ from . import quotient_bds as q
 from . import shelling as sh
 from . import tamari_a as ta
 from . import tri_b
-from .kinds import TypeA, TypeB, lattice_kind
+from .kinds import TypeA, TypeB, TypeBDS, lattice_kind
+
+KINDS = (TypeA, TypeB, TypeBDS)
+SUITES = tuple(dict.fromkeys(name for k in KINDS for name in k.suites))
 
 
 def _seed() -> int:
     return int(os.environ.get("TAMARI_SEED", "0"))
 
 
-def _report(name: str, failures: list[str], checked: int) -> dict:
-    return {
-        "suite": name,
-        "checked": checked,
-        "failures": failures,
-        "passed": not failures,
-    }
+def _lattice(suite: str, kind: str, n: int, s):
+    """The kind object for (kind, n, s); refuses a suite its `suites` does not list."""
+    lat = lattice_kind(kind, n, s)
+    if suite not in lat.suites:
+        types = [k.name for k in KINDS if suite in k.suites]
+        plural = "s" if len(types) > 1 else ""
+        raise ValueError(f"suite {suite} applies to type{plural} {' and '.join(types)} only")
+    return lat
+
+
+def _report(name: str, lat, failures: list[str], checked: int, **extra) -> dict:
+    return {"suite": name, "checked": checked, "failures": failures, "passed": not failures,
+            **extra, "type": lat.name, "n": lat.n, "s": sorted(lat.s)}
 
 
 def _poset(elems):
@@ -64,7 +73,7 @@ def suite_lattice(kind: str, n: int, s=()) -> dict:
     """
     import numpy as np
 
-    lat = lattice_kind(kind, n, s)
+    lat = _lattice("lattice", kind, n, s)
     failures: list[str] = []
     elems = lat.elements()
     po = _poset(elems)
@@ -112,12 +121,12 @@ def suite_lattice(kind: str, n: int, s=()) -> dict:
                 failures.append(f"meet associativity fails at {x},{y},{elems[c]}")
             if join[a, meet[a, b]] != a or meet[a, join[a, b]] != a:
                 failures.append(f"absorption fails at {x},{y}")
-    return _report("lattice", failures, checked)
+    return _report("lattice", lat, failures, checked)
 
 
 def suite_covers(kind: str, n: int, s=()) -> dict:
     """Bracket-order Hasse edges equal diagonal-flip edges (quotient: subposet Hasse)."""
-    lat = lattice_kind(kind, n, s)
+    lat = _lattice("covers", kind, n, s)
     failures: list[str] = []
     checked = 0
     elems = lat.elements()
@@ -135,12 +144,12 @@ def suite_covers(kind: str, n: int, s=()) -> dict:
             checked += 1
             if lat.covers(elems[i], elems[j]) != hasse[i, j]:
                 failures.append(f"quotient cover mismatch at {elems[i]} -> {elems[j]}")
-    return _report("covers", failures, checked)
+    return _report("covers", lat, failures, checked)
 
 
 def suite_bijection(kind: str, n: int, s=()) -> dict:
     """psi is injective with image exactly NC^B_n (restricted by S); inverses compose to id."""
-    lat = lattice_kind(kind, n, s)
+    lat = _lattice("bijection", kind, n, s)
     failures: list[str] = []
     checked = 0
     vecs = lat.elements()
@@ -171,39 +180,40 @@ def suite_bijection(kind: str, n: int, s=()) -> dict:
             checked += 1
             if bb.encode(nc.psi_inverse(p)) != images.get(p.blocks):
                 failures.append(f"psi_inverse round trip fails at {p.sorted_blocks()}")
-    return _report("bijection", failures, checked)
+    return _report("bijection", lat, failures, checked)
 
 
 def suite_leftmod(kind: str, n: int, s=()) -> dict:
     """Chain elements are left modular and the chain is unrefinable."""
-    s = lattice_kind(kind, n, s).s
+    lat = _lattice("leftmod", kind, n, s)
+    lat.elements()  # the cap: is_left_modular works on the listed lattice
     failures: list[str] = []
     checked = 0
-    chain = sh.left_modular_chain(n, s)
+    chain = sh.left_modular_chain(n, lat.s)
     for a, b in zip(chain, chain[1:]):
         checked += 1
-        if not q.covers_s(a, b, s, n):
+        if not q.covers_s(a, b, lat.s, n):
             failures.append(f"chain step {a} -> {b} is not a cover")
     for x in chain:
         checked += 1
-        if not sh.is_left_modular(x, n, s):
+        if not sh.is_left_modular(x, n, lat.s):
             failures.append(f"{x} is not left modular")
-    return _report("leftmod", failures, checked)
+    return _report("leftmod", lat, failures, checked)
 
 
 def suite_el(kind: str, n: int, s=()) -> dict:
     """EL property, decreasing-chain uniqueness and Mobius vs oracle."""
-    s = lattice_kind(kind, n, s).s
-    rep = sh.verify_el(n, s)
+    lat = _lattice("el", kind, n, s)
+    elems = lat.elements()
+    rep = sh.verify_el(n, lat.s)
     failures = [str(v) for v in rep["violations"]]
     checked = rep["intervals_checked"]
-    lat = sh.lattice_elements(n, s)
-    po = _poset(lat)
-    for i, j in zip(*(x.tolist() for x in lat.order.nonzero())):  # every y <= z
-        y, z = lat[i], lat[j]
+    po = _poset(elems)
+    for i, j in zip(*(x.tolist() for x in elems.order.nonzero())):  # every y <= z
+        y, z = elems[i], elems[j]
         checked += 1
-        found = sh.decreasing_chains(y, z, n, s)
-        built = sh.decreasing_chain_build(y, z, n, s)
+        found = sh.decreasing_chains(y, z, n, lat.s)
+        built = sh.decreasing_chain_build(y, z, n, lat.s)
         if built is None and found:
             failures.append(f"builder missed the decreasing chain in [{y},{z}]")
         if built is not None and [built] != found:
@@ -211,7 +221,7 @@ def suite_el(kind: str, n: int, s=()) -> dict:
         mu = sh.chain_mobius(built)
         if mu not in (-1, 0, 1) or mu != po.mobius(y, z):
             failures.append(f"mobius mismatch at [{y},{z}]: {mu} vs {po.mobius(y, z)}")
-    return _report("el", failures, checked)
+    return _report("el", lat, failures, checked)
 
 
 def suite_congruence(kind: str, n: int, s=()) -> dict:
@@ -220,11 +230,12 @@ def suite_congruence(kind: str, n: int, s=()) -> dict:
     The meet half of the congruence is known to fail (see the erratum in
     the README); it is checked faithfully regardless.
     """
-    s = lattice_kind(kind, n, s).s
+    lat = _lattice("congruence", kind, n, s)
+    s = lat.s
     failures: list[str] = []
     checked = 0
-    vecs = sh.lattice_elements(n, frozenset())
-    elems = sh.lattice_elements(n, s)
+    elems = lat.elements()
+    vecs = TypeB(n).elements()  # all of T_n^B, under the same cap
     pairs = [(v, q.project(v, s, n)) for v in vecs if q.project(v, s, n) != v]
     for v, w in pairs:
         for z in vecs:
@@ -239,22 +250,13 @@ def suite_congruence(kind: str, n: int, s=()) -> dict:
         failures.append(f"inherited meet wrong at {elems[i]},{elems[j]}")
     pairs = ((a, b) for a in elems for b in elems)
     witness = next((p for p in pairs if not q.vector_in_tns(bb.join(*p, n), n, s)), None)
-    out = _report("congruence", failures, checked)
-    out["non_sublattice_witness"] = witness
-    return out
-
-
-SUITES = ("lattice", "covers", "bijection", "leftmod", "el", "congruence")
+    return _report("congruence", lat, failures, checked, non_sublattice_witness=witness)
 
 
 def run_suite(name: str, kind: str, n: int, s=()) -> dict:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    lat = lattice_kind(kind, n, s)
-    lat.require(f"suite {name}")
-    out = globals()[f"suite_{name}"](kind, n, s)
-    out.update({"type": kind, "n": n, "s": sorted(lat.s)})
-    return out
+    return globals()[f"suite_{name}"](kind, n, s)
 
 
 def triple_count_check(n: int) -> dict:

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tamari import bracket_b as bb
+from tamari import kinds
 from tamari import noncross as nc
 from tamari import tamari_a as ta
 from tamari.cli import main
@@ -104,10 +105,53 @@ def test_enumerate_and_bds_count_refuse_above_the_cap():
         ["enumerate", "--n", "12"],  # C(24, 12) = 2,704,156
         ["enumerate", "--type", "a", "--n", "13"],  # Catalan(14) = 2,674,440
         ["count", "--type", "bds", "--n", "12", "--s", "1"],
+        *(
+            ["verify", *suite, "--n", "12", "--max-n-unsafe", "12"]
+            for suite in (["leftmod"], ["el"], ["congruence", "--type", "bds", "--s", "1"])
+        ),
     ):
         code, out, err = run(*argv)
         assert code == 1 and out == "", argv
         assert len(err.splitlines()) == 1 and f"more than {MAX_ELEMENTS}" in err, argv
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_every_suite_refuses_a_lattice_above_the_element_cap(monkeypatch, suite):
+    monkeypatch.setattr(kinds, "MAX_ELEMENTS", 10)
+    for kind in ("a", "b", "bds"):
+        if suite not in lattice_kind(kind, 4).suites:
+            continue
+        code, out, err = run("verify", suite, "--type", kind, "--n", "4")
+        assert code == 1 and out == "", kind
+        assert err == "error: n=4: more than 10 elements, the enumeration cap\n", kind
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "congruence", "--n", "3"], "suite congruence applies to type bds only"),
+        (["verify", "el", "--type", "a", "--n", "3"], "suite el applies to types b and bds only"),
+        (
+            ["mobius", "--type", "a", "--n", "2", "--vector", "[0,0,0]", "--other", "[0,1,2]"],
+            "mobius is implemented for types b and bds only",
+        ),
+        (
+            ["psi-inv", "--type", "a", "--partition", "{}"],
+            "psi-inv is implemented for types b and bds only",
+        ),
+    ],
+)
+def test_a_kind_refuses_what_it_lacks(argv, message):
+    assert run(*argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("chord", [[0], [0, 2, 5]])
+@pytest.mark.parametrize("kind", ["a", "b"])
+def test_a_chord_needs_two_endpoints(kind, chord):
+    tri = json.dumps({"n": 2, "chords": [chord, [0, 3]]})
+    code, out, err = run("encode", "--type", kind, "--triangulation", tri)
+    assert (code, out) == (1, "")
+    assert err == f"error: invalid triangulation: chord must have two endpoints, got {chord}\n"
 
 
 def test_every_suite_refuses_n_above_the_cap():

@@ -8,7 +8,7 @@ from tamari import bracket_b as bb
 from tamari import quotient_bds as q
 from tamari import shelling as sh
 from tamari import verify as vfy
-from tamari.kinds import TypeB, lattice_kind
+from tamari.kinds import TypeA, TypeB, TypeBDS, lattice_kind
 from tamari.oracle import FinitePoset
 
 
@@ -78,16 +78,40 @@ def test_suite_checked_counts(suite, kind, s, checked, passed):
 
 @pytest.mark.parametrize("suite", ["leftmod", "el", "congruence"])
 def test_run_suite_refuses_a_type_b_suite_for_type_a(suite):
-    with pytest.raises(ValueError, match=f"suite {suite} applies to types b and bds only"):
-        vfy.run_suite(suite, "a", 2)
+    types = "type bds" if suite == "congruence" else "types b and bds"
+    for call in (vfy.run_suite, lambda name, *args: getattr(vfy, f"suite_{name}")(*args)):
+        with pytest.raises(ValueError, match=f"^suite {suite} applies to {types} only$"):
+            call(suite, "a", 2)
+
+
+def test_congruence_is_refused_for_type_b():
+    # with S empty ~_S is the identity: the check would be vacuous
+    for call in (vfy.run_suite, lambda name, *args: vfy.suite_congruence(*args)):
+        with pytest.raises(ValueError, match="^suite congruence applies to type bds only$"):
+            call("congruence", "b", 3)
+
+
+def test_every_kind_suite_has_one_home():
+    listed = [name for k in (TypeA, TypeB, TypeBDS) for name in k.suites]
+    assert set(vfy.SUITES) == set(listed) and len(vfy.SUITES) == len(set(vfy.SUITES))
+    assert all(callable(getattr(vfy, f"suite_{name}", None)) for name in vfy.SUITES)
 
 
 def test_run_suite_looks_the_suite_up_when_it_runs(monkeypatch):
     # perfbench traces `verify.suite_<name>` by patching the module attribute
     calls = []
     monkeypatch.setattr(vfy, "suite_el", lambda *args: calls.append(args) or {"passed": True})
-    assert vfy.run_suite("el", "bds", 2, (1,)) == {"passed": True, "type": "bds", "n": 2, "s": [1]}
+    assert vfy.run_suite("el", "bds", 2, (1,)) == {"passed": True}
     assert calls == [("bds", 2, (1,))]
+
+
+@pytest.mark.parametrize(
+    "suite, kind, s", [("lattice", "a", ()), ("el", "b", ()), ("congruence", "bds", [2, 1])]
+)
+def test_a_direct_suite_call_reports_as_run_suite(suite, kind, s):
+    rep = getattr(vfy, f"suite_{suite}")(kind, 2, s)
+    assert rep == vfy.run_suite(suite, kind, 2, s)
+    assert (rep["type"], rep["n"], rep["s"]) == (kind, 2, sorted(s))
 
 
 def test_suite_covers_reports_a_claimed_non_cover(monkeypatch):
