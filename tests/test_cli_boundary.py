@@ -140,6 +140,7 @@ def test_every_suite_refuses_a_lattice_above_the_element_cap(monkeypatch, suite)
             "psi-inv is implemented for types b and bds only",
         ),
     ],
+    ids=["congruence-b", "el-a", "mobius-a", "psi-inv-a"],
 )
 def test_a_kind_refuses_what_it_lacks(argv, message):
     assert run(*argv) == (1, "", f"error: {message}\n")
