@@ -9,11 +9,17 @@ Entry r_i records the counter-clockwise reach of the scan chord C_i, with
 inf marking chords that cross to the barred side.  The componentwise order
 on valid vectors is the Tamari order; meet and join are computed through
 the kernel/closure maps `down` and `up`.
+
+Validity is decided in O(n log n): condition (i) by the monotonic-stack
+pass `_holds_i`, condition (ii) by one linear scan.  Only a vector that
+breaks (i) is scanned pair by pair, to name the first failing pair in the
+error, so the witness `violation` reports is that of the pair scan.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from math import inf as INF
 
 from .polygon import ccw_distance, chord, chord_partner, n_vertices
@@ -49,8 +55,39 @@ def _in_range(v: Vector, n: int) -> Vector:
     return v
 
 
+def _holds_i(v: Vector) -> bool:
+    """Condition (i) in one left-to-right pass, O(n log n).
+
+    (i) says v_i - i <= v_j - j for every i in [j - v_j, j - 1] when v_j is
+    finite, so each j needs only the maximum of v_i - i over that window.
+    The stack holds the indices whose v_i - i exceeds that of every later
+    index so far (indices rising, values falling); the window maximum is
+    its first entry at or after j - v_j, found by `bisect`.
+    """
+    idx: list[int] = []
+    val: list = []
+    for j, x in enumerate(v):
+        d = x - j
+        if x != INF:
+            k = bisect_left(idx, j - x)
+            if k < len(idx) and val[k] > d:
+                return False
+        while val and val[-1] <= d:
+            idx.pop()
+            val.pop()
+        idx.append(j)
+        val.append(d)
+    return True
+
+
 def _witness_i(v: Vector, n: int):
-    """The first condition (i) pair (i, j), 1-based, or None."""
+    """The first condition (i) pair (i, j), 1-based, or None.
+
+    `_holds_i` decides; the pair scan runs only on a vector that breaks (i),
+    to name its first pair in (i, j) order.
+    """
+    if _holds_i(v):
+        return None
     for i, j in itertools.combinations(range(n), 2):
         bound = v[j] - (j - i)
         if bound >= 0 and v[i] > bound:

@@ -157,8 +157,17 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line raises ValueError, which `main` reports in one
+    line with exit 1, in place of argparse's usage text and exit 2 (the
+    verification-failure code).  The subparsers inherit this class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tamari",
         description="Type-B Tamari lattices: bracket vectors, noncrossing "
         "partitions, BD^S quotients, shellability checks.",
@@ -221,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "n", 1) < 1:
             raise ValueError("--n must be at least 1")
         s = None if args.command in WITHOUT_S else args.s

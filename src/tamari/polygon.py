@@ -97,12 +97,32 @@ def crosses(c1: Chord, c2: Chord) -> bool:
 
     With endpoints sorted, two chords of a convex polygon cross exactly when
     their endpoints interleave; chords sharing an endpoint never cross.
+    This pair test is the witness: callers decide with `noncrossing` and
+    scan pairs with `crosses` only to name a crossing pair.
     """
     a, b = c1
     c, d = c2
     if len({a, b, c, d}) < 4:
         return False
     return (a < c < b < d) or (c < a < d < b)
+
+
+def noncrossing(chords) -> bool:
+    """True iff no two of the chords (a, b), a < b, cross; one stack pass.
+
+    Sorted by (a, -b), the chords still open at a are the stacked right
+    ends above a, the innermost on top.  A chord crosses one of them
+    exactly when the top lies strictly between its ends.  Equal to
+    `not any(crosses(c1, c2))` over all pairs, in O(m log m).
+    """
+    ends: list[int] = []
+    for a, b in sorted(chords, key=lambda c: (c[0], -c[1])):
+        while ends and ends[-1] <= a:
+            ends.pop()
+        if ends and ends[-1] < b:
+            return False
+        ends.append(b)
+    return True
 
 
 def ccw_distance(frm: int, to: int, n: int) -> int:

@@ -5,12 +5,18 @@ chords) fixed under the half-turn.  Chords are coloured red or green from
 the quadrilateral rule; the red chords are exactly the scan chords C_i and
 their symmetric partners, and they determine the triangulation (the regions
 they cut out have a unique all-green completion).
+
+The noncrossing checks decide with the stack pass `polygon.noncrossing`;
+only a crossing set is scanned pair by pair with `crosses`, to name the
+pair in the error.  `c_i` reads each triangulation's vertex-to-chord-ends
+map, built once, so `red_set` and `encode` are linear in the chords.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .polygon import (
     Chord,
@@ -26,6 +32,7 @@ from .polygon import (
     json_n,
     label_value,
     n_vertices,
+    noncrossing,
 )
 
 RED = "red"
@@ -49,9 +56,19 @@ class TriangulationB:
                 raise ValueError(f"{c} is a polygon edge, not a chord")
             if chord_partner(c, self.n) not in self.chords:
                 raise ValueError(f"chord set not symmetric at {c}")
-        for c1, c2 in itertools.combinations(self.chords, 2):
-            if crosses(c1, c2):
-                raise ValueError(f"chords {c1} and {c2} cross")
+        if not noncrossing(self.chords):
+            for c1, c2 in itertools.combinations(self.chords, 2):
+                if crosses(c1, c2):
+                    raise ValueError(f"chords {c1} and {c2} cross")
+
+    @cached_property
+    def ends(self) -> list[list[int]]:
+        """ends[v]: the far ends of the chords at vertex v, built once."""
+        out: list[list[int]] = [[] for _ in range(n_vertices(self.n))]
+        for a, b in self.chords:
+            out[a].append(b)
+            out[b].append(a)
+        return out
 
     @classmethod
     def from_chords(cls, n: int, chords) -> "TriangulationB":
@@ -131,20 +148,20 @@ def c_i(t: TriangulationB, i: int) -> Chord | None:
     """The scan chord C_i: first chord at vertex i found clockwise from 1bar.
 
     Returns None when C_i is the edge segment to the counter-clockwise
-    neighbour of i.
+    neighbour of i.  Reads `t.ends`: of the chords at i, the one whose far
+    end comes first clockwise from 1bar, if that end comes before i's
+    counter-clockwise neighbour, in time linear in the chords at i.
     """
     if not 1 <= i <= t.n:
         raise ValueError(f"i must be in [1, {t.n}]")
     m = n_vertices(t.n)
-    vi = i - 1
-    stop = (vi - 1) % m
-    k = t.n + 1
-    while k % m != stop:
-        c = chord(vi, k % m)
-        if c in t.chords:
-            return c
-        k += 1
-    return None
+    start = t.n + 1
+    # clockwise steps from 1bar; the walk stops before the neighbour i-2
+    steps = [(w - start) % m for w in t.ends[i - 1]]
+    first = min(steps, default=m)
+    if first >= (i - 2 - start) % m:
+        return None
+    return chord(i - 1, (start + first) % m)
 
 
 def red_set(t: TriangulationB) -> frozenset[Chord]:
@@ -226,9 +243,10 @@ def from_red_set(n: int, reds) -> TriangulationB:
     for c in reds:
         if chord_partner(c, n) not in reds:
             raise ValueError(f"red set not symmetric at {c}")
-    for c1, c2 in itertools.combinations(reds, 2):
-        if crosses(c1, c2):
-            raise ValueError(f"red chords {c1} and {c2} cross")
+    if not noncrossing(reds):
+        for c1, c2 in itertools.combinations(reds, 2):
+            if crosses(c1, c2):
+                raise ValueError(f"red chords {c1} and {c2} cross")
     chords = set(reds)
     for region in split_regions(n_vertices(n), reds):
         chords |= green_complete(n, region)

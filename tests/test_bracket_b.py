@@ -33,6 +33,19 @@ def test_m1_m2_split():
     assert bb.in_m2((INF, 1, 2), 3) and not bb.in_m1((INF, 1, 2), 3)
 
 
+def test_condition_i_pass_matches_the_pair_scan():
+    """The O(n log n) pass decides (i) as the pair scan does, and the witness
+    is the scan's first pair, on every tuple of the box for n <= 6."""
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for v in all_tuples(n):
+            first = next(
+                ((i + 1, j + 1) for i, j in pairs if 0 <= v[j] - (j - i) < v[i]), None
+            )
+            assert bb._holds_i(v) == (first is None), v
+            assert bb._witness_i(v, n) == first, v
+
+
 def test_encode_examples():
     assert bb.encode(bb.decode((0, INF, 0, 0, 2, 0), 6)) == (0, INF, 0, 0, 2, 0)
     assert bb.encode(tri_b.bottom(3)) == (0, 0, 0)

@@ -30,7 +30,7 @@ def run(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))
-        except SystemExit as e:  # argparse rejects the command line
+        except SystemExit as e:  # --help
             code = e.code
     return code, out.getvalue(), err.getvalue()
 
@@ -65,12 +65,46 @@ def python(*args, **kwargs):
         ["encode", "--type", "a", "--triangulation", '{"n": true, "chords": [[0, 2]]}'],
         ["encode", "--triangulation", '{"n": 2.7, "chords": [[1, -1], [1, -2], [-1, 2]]}'],
         ["enumerate", "--n", "2", "--format", "dot"],
+        # a bad command line: argparse's error, not its usage text and exit 2
+        ["verify", "bogus", "--n", "2"],
+        ["count", "--n", "x"],
+        ["decode", "--n", "3"],
+        ["count", "--n", "2", "--bogus"],
+        [],
     ],
 )
 def test_malformed_input_is_one_error_line(argv):
     code, out, err = run(*argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_help_still_exits_zero():
+    for argv in (["--help"], ["decode", "--help"]):
+        code, out, err = run(*argv)
+        assert code == 0 and out.startswith("usage: tamari") and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["decode", "--n", "3", "--vector", '["inf", 1, 2]'],
+         "error: invalid bracket vector ['inf', 1, 2]: condition i at (1, 2)"),
+        (["decode", "--n", "6", "--vector", "[0, 0, 3, 0, 4, 5]"],
+         "error: invalid bracket vector [0, 0, 3, 0, 4, 5]: condition i at (3, 5)"),
+        (["psi", "--n", "5", "--vector", '[0, 0, 2, "inf", 1]'],
+         "error: invalid bracket vector [0, 0, 2, 'inf', 1]: condition i at (4, 5)"),
+        (["encode", "--triangulation",
+          '{"n": 3, "chords": [[1, 3], [2, 4], [-1, -3], [-2, -4], [4, -4]]}'],
+         "error: invalid triangulation: chords (4, 6) and (5, 7) cross"),
+        (["encode", "--type", "a", "--triangulation", '{"n": 3, "chords": [[0, 2], [1, 3], [3, 5]]}'],
+         "error: invalid triangulation: chords (0, 2) and (1, 3) cross"),
+    ],
+)
+def test_witness_error_lines_are_pinned(argv, line):
+    """Validity is decided by single passes; the pair named is still the
+    pair scan's first, so these lines stay as they were."""
+    assert run(*argv) == (1, "", line + "\n")
 
 
 @pytest.mark.parametrize(

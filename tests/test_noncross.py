@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from conftest import bracket_vectors
 from hypothesis import given, settings
@@ -37,6 +39,35 @@ def test_is_noncrossing_examples():
     assert not nc.is_noncrossing_b(nc.NoncrossingPartitionB(3, crossing))
     asym = blocks({1, 2}, {-1}, {-2}, {3}, {-3})
     assert not nc.is_noncrossing_b(nc.NoncrossingPartitionB(3, asym))
+
+
+def set_partitions(points):
+    """Every set partition of a list of points, as lists of blocks."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for part in set_partitions(rest):
+        yield [[first], *part]
+        for k in range(len(part)):
+            yield [*part[:k], [first, *part[k]], *part[k + 1 :]]
+
+
+def test_stack_pass_matches_the_pair_scan_on_every_partition():
+    """All 4,360 set partitions of the 2n circle points, n <= 4, symmetric or not."""
+    count = 0
+    for n in range(1, 5):
+        labels = [*range(1, n + 1), *range(-1, -n - 1, -1)]
+        for part in set_partitions(labels):
+            bs = [frozenset(b) for b in part]
+            pair_scan = not any(
+                nc._blocks_cross(b1, b2, n) for b1, b2 in itertools.combinations(bs, 2)
+            )
+            assert nc._noncrossing_blocks(bs, n) == pair_scan, part
+            p = nc.NoncrossingPartitionB(n, frozenset(bs))
+            assert nc.is_noncrossing_b(p) == (nc.is_symmetric(p) and pair_scan), part
+            count += 1
+    assert count == 4360
 
 
 def test_psi_figure_2_to_4():

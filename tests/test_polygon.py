@@ -1,4 +1,6 @@
-from hypothesis import given
+import itertools
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamari import polygon as pg
@@ -109,3 +111,21 @@ def test_chord_json_encoding():
     c = pg.chord_from_labels(["2", "-1"], n)
     assert pg.chord_to_labels(c, n) == ["2", "-1"]
     assert pg.chord_from_labels([2, -1], n) == c
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_noncrossing_stack_matches_the_pair_scan(data):
+    # small polygons, so that many chords share an endpoint or repeat
+    m = data.draw(st.integers(min_value=2, max_value=12))
+    ends = st.lists(st.integers(min_value=0, max_value=m - 1), min_size=2, max_size=2, unique=True)
+    chords = [pg.chord(a, b) for a, b in data.draw(st.lists(ends, max_size=8))]
+    pair_scan = not any(pg.crosses(c1, c2) for c1, c2 in itertools.combinations(chords, 2))
+    assert pg.noncrossing(chords) == pair_scan
+
+
+def test_noncrossing_examples():
+    assert pg.noncrossing([])
+    assert pg.noncrossing([(0, 5), (0, 3), (1, 3), (3, 5), (3, 4)])  # shared ends nest
+    assert not pg.noncrossing([(0, 3), (1, 5)])
+    assert not pg.noncrossing([(0, 6), (1, 3), (4, 7)])  # found once (1, 3) is popped

@@ -4,6 +4,7 @@ import pytest
 
 from tamari import bracket_b as bb
 from tamari import polygon as pg
+from tamari import tamari_a as ta
 from tamari import tri_b
 from tamari.bracket_b import INF
 
@@ -83,6 +84,21 @@ def test_c_i_examples():
     assert tri_b.c_i(t, 1) == pg.chord_from_labels(("1", "-1"), 3)
     assert tri_b.c_i(t, 2) == pg.chord_from_labels(("2", "-1"), 3)
     assert tri_b.c_i(t, 3) == pg.chord_from_labels(("3", "-1"), 3)
+
+
+def test_c_i_red_set_and_encode_on_every_vector():
+    """c_i against its definition, the clockwise walk from 1bar that stops
+    before i's counter-clockwise neighbour; red_set against the chord colours;
+    encode(decode(v)) == v.  Every vector for n <= 6."""
+    for n in range(1, 7):
+        m = pg.n_vertices(n)
+        for v in bb.enumerate_vectors(n):
+            t = bb.decode(v, n)
+            assert bb.encode(t) == v
+            assert tri_b.red_set(t) == {c for c in t.chords if tri_b.color(t, c) == tri_b.RED}
+            for i in range(1, n + 1):
+                walk = (pg.chord(i - 1, (n + 1 + s) % m) for s in range((i - 2 - (n + 1)) % m))
+                assert tri_b.c_i(t, i) == next((c for c in walk if c in t.chords), None), (v, i)
 
 
 def test_red_set_examples():
@@ -200,6 +216,44 @@ def test_from_red_set_errors():
         )
     with pytest.raises(ValueError, match="realizable"):
         tri_b.from_red_set(3, [pg.chord(i("1"), i("4")), pg.chord(i("-1"), i("-4"))])
+
+
+def _crossing_set(kind, n, pairs):
+    """Build a triangulation of type "a" or "b", or a "red" set, from chords."""
+    if kind == "a":
+        return ta.TriangulationA.from_chords(n, pairs)
+    chords = [pg.chord_from_labels(p, n) for p in pairs]
+    if kind == "b":
+        return tri_b.TriangulationB.from_chords(n, chords)
+    return tri_b.from_red_set(n, chords)
+
+
+@pytest.mark.parametrize(
+    "kind, n, pairs, message",
+    [
+        ("b", 3, [("1", "3"), ("2", "4"), ("-1", "-3"), ("-2", "-4"), ("4", "-4")],
+         "chords (4, 6) and (5, 7) cross"),
+        ("b", 4, [("1", "-1"), ("2", "-2"), ("3", "-3"), ("4", "-4"), ("5", "-5"), ("1", "3"),
+                  ("-1", "-3")],
+         "chords (3, 8) and (2, 7) cross"),
+        ("a", 3, [(0, 2), (1, 3), (3, 5)], "chords (0, 2) and (1, 3) cross"),
+        ("a", 4, [(0, 3), (1, 4), (2, 5), (4, 6)], "chords (4, 6) and (2, 5) cross"),
+        ("red", 3, [("1", "-1"), ("2", "-2")], "red chords (0, 4) and (1, 5) cross"),
+        ("red", 4, [("1", "3"), ("-1", "-3"), ("2", "-2"), ("4", "-2"), ("-4", "2")],
+         "red chords (1, 8) and (0, 2) cross"),
+    ],
+)
+def test_crossing_error_names_the_pair_scan_pair(kind, n, pairs, message):
+    """The stack pass decides; the error names the first crossing pair of the
+    pair scan over the chord set, in the pinned text."""
+    chords = frozenset(
+        pg.chord(*p) if kind == "a" else pg.chord_from_labels(p, n) for p in pairs
+    )
+    first = next(c for c in itertools.combinations(chords, 2) if pg.crosses(*c))
+    assert message.endswith(f"chords {first[0]} and {first[1]} cross")
+    with pytest.raises(ValueError) as e:
+        _crossing_set(kind, n, pairs)
+    assert str(e.value) == message
 
 
 def test_flip_diameter_example():
