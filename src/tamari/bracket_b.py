@@ -10,6 +10,16 @@ inf marking chords that cross to the barred side.  The componentwise order
 on valid vectors is the Tamari order; meet and join are computed through
 the kernel/closure maps `down` and `up`.
 
+`up` and `down` have two forms.  `_up`/`_down` work on one list, and
+`meet`/`join` on one pair of vectors: every single operation (the CLI,
+`tamari.meet`, the per-element steps of the suites) takes this route, at
+any n.  `_up_rows`/`_down_rows` run the same per-coordinate loops on an
+(m, n) float array, one numpy step for all m rows, and `meet_rows`/
+`join_rows` combine one vector with every row: the whole-lattice passes
+(`shelling.op_table`, `verify.suite_congruence`) fill a table row per
+call.  The row form costs O(n^2) numpy calls per call, so it pays only
+when it serves many rows at once.
+
 Validity is decided in O(n log n): condition (i) by the monotonic-stack
 pass `_holds_i`, condition (ii) by one linear scan.  Only a vector that
 breaks (i) is scanned pair by pair, to name the first failing pair in the
@@ -337,6 +347,41 @@ def _down(g: list, n: int) -> Vector:
     return tuple(g)
 
 
+def _up_rows(g, n: int):
+    """`_up` on every row of g at once, in place: an (m, n) float array of M^(ii) rows.
+
+    The loops of `_up`, with the max over j masked by j <= f_i, f_i the
+    entry before step i; only entries that start finite are clamped to inf.
+    """
+    for i in range(1, n):
+        col = g[:, i]  # a view: step i writes column i
+        f = col.copy()
+        for j in range(1, i + 1):
+            reach = g[:, i - j] + j
+            higher = (j <= f) & (reach > col)
+            col[higher] = reach[higher]
+        col[(f < n) & (col >= n)] = INF
+    return g
+
+
+def _down_rows(g, n: int):
+    """`_down` on every row of g at once, in place: an (m, n) float array of M^(i) rows.
+
+    The `while` of `_down` stops at the largest x <= f_i with x = i or
+    g_{n+i-x} = inf: with t = n+i-x, the smallest t >= n+i-f_i among
+    i+1..n-1 with g_t = inf, else x = i.  A masked sweep from t = n-1 down
+    to i+1 leaves that t's value last.  Only entries with i < f_i < n move.
+    """
+    for i in range(n - 1):  # at i = n-1 no finite entry exceeds i
+        col = g[:, i]
+        reach = col.copy()
+        reach[(reach <= i) | (reach >= n)] = -1  # matches no t below
+        col[reach > i] = i
+        for t in range(n - 1, i, -1):
+            col[(g[:, t] == INF) & (reach >= n + i - t)] = n + i - t
+    return g
+
+
 def meet(a: Vector, b: Vector, n: int) -> Vector:
     """`_down` in place on a fresh componentwise-min list, which satisfies (i) for valid inputs.
     It checks nothing, so it is defined only on valid inputs; `tamari.meet` checks them."""
@@ -347,6 +392,22 @@ def join(a: Vector, b: Vector, n: int) -> Vector:
     """`_up` in place on a fresh componentwise-max list, which satisfies (ii) for valid inputs.
     It checks nothing, so it is defined only on valid inputs; `tamari.join` checks them."""
     return _up([x if x > y else y for x, y in zip(a, b, strict=True)], n)
+
+
+def meet_rows(a: Vector, rows, n: int):
+    """`meet` of a with every row of rows, an (m, n) float array of valid
+    vectors: `_down_rows` on a fresh componentwise-min array."""
+    import numpy as np
+
+    return _down_rows(np.minimum(rows, a), n)
+
+
+def join_rows(a: Vector, rows, n: int):
+    """`join` of a with every row of rows, an (m, n) float array of valid
+    vectors: `_up_rows` on a fresh componentwise-max array."""
+    import numpy as np
+
+    return _up_rows(np.maximum(rows, a), n)
 
 
 def bottom_vector(n: int) -> Vector:

@@ -24,7 +24,7 @@ from . import shelling as sh
 from . import tamari_a as ta
 from . import tri_b
 
-# Largest lattice that is listed element by element (enumerate, bds count).
+# Largest lattice that is listed element by element (enumerate, the verify suites).
 MAX_ELEMENTS = 10**6
 # Largest n for a closed-form count: C(2n, n) then has about 3000 digits.
 MAX_COUNT_N = 5000
@@ -113,6 +113,14 @@ class TypeB(Kind):
     def join(self, a, b):
         return bb.join(a, b, self.n)
 
+    # the row forms: a against every row of an (m, n) float array of elements
+
+    def meet_rows(self, a, rows):
+        return bb.meet_rows(a, rows, self.n)
+
+    def join_rows(self, a, rows):
+        return bb.join_rows(a, rows, self.n)
+
     def covers(self, a, b) -> bool:
         return bb._covers(a, b, self.n)
 
@@ -174,11 +182,28 @@ class TypeBDS(TypeB):
         q.check_member(v, self.s, self.n)
         return v
 
-    def count(self) -> int:
-        return len(self.elements())
+    def size(self) -> int:
+        """|T_n^S| = C(2n, n) - |S|*Catalan(n-1), in closed form.
+
+        Every centrally symmetric triangulation of the (2n+2)-gon has
+        exactly one diameter {i, ibar}: the centre lies in no triangle,
+        since no triangle is centrally symmetric, so it lies on a chord,
+        which is a diameter, and two diameters cross.  r_k = n-1 exactly
+        when the triangulation has the collapsing triangles at k
+        (`quotient_bds.in_tns`): the diameter is {k+1, (k+1)bar} and the
+        triangle on it has apex k.  Fixing that triangle leaves one
+        (n+1)-gon half to triangulate freely, the other half being its
+        image, so Catalan(n-1) vectors have r_k = n-1.  No two k share a
+        vector, which would need two diameters, so the |S| removed sets
+        are disjoint.
+        """
+        return math.comb(2 * self.n, self.n) - len(self.s) * ta.catalan(self.n - 1)
 
     def join(self, a, b):
         return q._join_s(a, b, self.s, self.n)
+
+    def join_rows(self, a, rows):
+        return q._join_s_rows(a, rows, self.s, self.n)
 
     def covers(self, a, b) -> bool:
         return q._covers_s(a, b, self.s, self.n)
@@ -216,6 +241,12 @@ class TypeA(Kind):
 
     def join(self, a, b):
         return bb.join(a, b, self.n + 1)
+
+    def meet_rows(self, a, rows):
+        return bb.meet_rows(a, rows, self.n + 1)
+
+    def join_rows(self, a, rows):
+        return bb.join_rows(a, rows, self.n + 1)
 
     def covers(self, a, b) -> bool:
         return bb._covers(a, b, self.n + 1)

@@ -17,7 +17,8 @@ Each operation is a membership check of its operands plus a kernel
 (`_join_s`, ...) that checks nothing and is defined only on members of
 T_n^S; the kernel of `meet_s` is the type-B `meet`.  Callers that already
 hold members (the enumerated lattice, the CLI after parsing) call the
-kernels.
+kernels.  `_join_s_rows` is the row form of `_join_s`, for the
+whole-lattice passes (`bracket_b` explains the two forms).
 """
 
 from __future__ import annotations
@@ -121,6 +122,20 @@ def join_s(a, b, s, n: int):
 
 def _join_s(a, b, s, n: int):
     return _project(bb.join(a, b, n), s, n)
+
+
+def _join_s_rows(a, rows, s, n: int):
+    """`_join_s` of a with every row of rows, an (m, n) float array of
+    members: the type-B row join (`bb.join_rows`), projected."""
+    return _project_rows(bb.join_rows(a, rows, n), s, n)
+
+
+def _project_rows(g, s, n: int):
+    """`_project` on every row of g, an (m, n) float array, in place."""
+    for k in s:
+        col = g[:, k - 1]
+        col[col == n - 1] = INF
+    return g
 
 
 def covers_s(a, b, s, n: int) -> bool:

@@ -17,7 +17,9 @@ Mobius value and the homotopy type of the open interval.
 `is_left_modular`, `decreasing_chains` and `verify_el` work on the cached
 `IndexedLattice` of `lattice_elements(n, s)`; the witnesses
 `decreasing_chain_build` (so `mobius`) and `gamma_chain_label` take their
-own checked steps.
+own checked steps.  A cover's label and its rank are read from the two
+nonzero entries of each W_{k+1,t}, so `mobius` builds no irreducible; the
+n^2 irreducible vectors are listed only by `join_irreducibles`.
 """
 
 from __future__ import annotations
@@ -71,13 +73,6 @@ def _irreducibles(n: int, s: frozenset) -> tuple:
     return tuple((lab, w) for lab, w in irr if w != bottom)
 
 
-@lru_cache(maxsize=None)
-def _irreducibles_at(n: int, s: frozenset) -> tuple:
-    """For each coordinate k, the irreducibles W_{k+1,t} in label order."""
-    irr = _irreducibles(n, s)
-    return tuple(tuple(x for x in irr if x[0][0] == k + 1) for k in range(n))
-
-
 def left_modular_chain(n: int, s=frozenset()) -> list[tuple]:
     """Unrefinable chain bottom = S_{n,1}-chain = top, merged under ~_S."""
     chain = [q.project(bb.bottom_vector(n), s, n)]
@@ -97,6 +92,39 @@ def order_matrix(elems):
     return order
 
 
+class RowIndex:
+    """Element indices of bracket-vector rows: `lookup(rows)` maps an
+    (m, width) float array to the index of each row in elems, -2 for a row
+    that is not an element.
+
+    A row is found by its base-(width+1) key (inf as width, every entry
+    clipped to [0, width]) and `searchsorted` over the sorted element keys;
+    the element there is then compared with the row itself, so a row with
+    an out-of-range entry, whose key aliases an element's, reads -2.  The
+    keys fit int64 for every lattice under the element cap.
+    """
+
+    def __init__(self, elems):
+        import numpy as np
+
+        self.rows = np.array(elems, dtype=float)  # inf stays inf
+        width = self.rows.shape[1]
+        self._radix = (width + 1) ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        keys = self._key(self.rows)
+        self._order = keys.argsort(kind="stable")
+        self._keys = keys[self._order]
+
+    def _key(self, rows):
+        return rows.clip(0, len(self._radix)).astype("int64") @ self._radix
+
+    def lookup(self, rows):
+        import numpy as np
+
+        pos = np.searchsorted(self._keys, self._key(rows)).clip(max=len(self._keys) - 1)
+        found = self._order[pos]
+        return np.where((self.rows[found] == rows).all(1), found, -2)
+
+
 class IndexedLattice(tuple):
     """T_n^S in lexicographic order, a linear extension, plus what is fixed
     per (n, s), each built on first use and kept on the object, so clearing
@@ -105,7 +133,8 @@ class IndexedLattice(tuple):
     `strict` holds every pair y < z as two index arrays (y-major),
     `covers[i]` the upper covers of i (increasing), `ranks[i]` the rank of
     each one's EL label, and `meets`/`joins` the `op_table`s of the type-B
-    meet, which T_n^S inherits, and of the T_n^S join."""
+    meet, which T_n^S inherits, and of the T_n^S join, filled by their row
+    forms `bb.meet_rows` and `q._join_s_rows`."""
 
     def __new__(cls, n: int, s=frozenset()):
         self = super().__new__(cls, q.elements_tns(n, s))
@@ -126,31 +155,39 @@ class IndexedLattice(tuple):
 
     @cached_property
     def ranks(self) -> list[list[int]]:
-        rank = _label_rank(self.n, self.s)
-        return [[rank[_el_label(v, self[w], self.n, self.s)] for w in ws]
+        n, s = self.n, self.s
+        return [[_label_rank(_el_label(v, self[w], n, s), n, s) for w in ws]
                 for v, ws in zip(self, self.covers)]
 
     @cached_property
     def meets(self):
-        return op_table(self, self.index, lambda a, b: bb.meet(a, b, self.n))
+        return op_table(self, lambda a, rows: bb.meet_rows(a, rows, self.n))
 
     @cached_property
     def joins(self):
-        return op_table(self, self.index, lambda a, b: q._join_s(a, b, self.s, self.n))
+        return op_table(self, lambda a, rows: q._join_s_rows(a, rows, self.s, self.n))
 
 
 lattice_elements = lru_cache(maxsize=None)(IndexedLattice)  # one per (n, s)
 
 
-def op_table(elems, index: dict, op):
-    """N x N index table of op, called once per unordered pair {a, b}, a
-    listed no later than b, with -2 for a value that is not an element."""
+def op_table(elems, row_op):
+    """N x N index table of a commutative operation, with -2 for a value
+    that is not an element.
+
+    row_op(a, rows) is the operation's row form: a against every row of an
+    (m, width) float array.  One call per element a takes a with every
+    element listed from a on, which fills a's row from the diagonal and,
+    mirrored, its column; `RowIndex` names the values.  At most N rows are
+    held at once.
+    """
     import numpy as np
 
     size = len(elems)
+    idx = RowIndex(elems)
     table = np.empty((size, size), np.int16 if size < 2**15 else np.int32)
     for i, a in enumerate(elems):
-        row = [index.get(op(a, b), -2) for b in elems[i:]]
+        row = idx.lookup(row_op(a, idx.rows[i:]))
         table[i, i:] = row
         table[i:, i] = row
     return table
@@ -168,9 +205,23 @@ def is_left_modular(x, n: int, s=frozenset()) -> bool:
     return bool((lat.meets[yx, zs] == lat.joins[ys, xz]).all())
 
 
-@lru_cache(maxsize=None)
-def _label_rank(n: int, s: frozenset) -> dict[Label, int]:
-    return {lab: k for k, (lab, _) in enumerate(_irreducibles(n, s))}
+def _label_rank(lab: Label, n: int, s) -> int:
+    """The place of label lab among the irreducibles of T_n^S in label order.
+
+    Its place in `label_order` is (n-i)*n plus t-1 (n-1 for inf), less the
+    dropped labels (j, n-1), j in s, listed before it: those with j > i,
+    and (i, n-1) itself when t = inf.  (The other dropped label, W_{1,inf},
+    the bottom of the one-element T_1^{1}, labels no cover.)
+    """
+    i, t = lab
+    place = (n - i) * n + (n - 1 if t == INF else t - 1)
+    return place - sum(j > i for j in s) - (i in s and t == INF)
+
+
+def _w_leq(k: int, t, v, n: int) -> bool:
+    """W_{k+1,t} <= v, from W's nonzero entries: t at k, and inf at n+k-t
+    when t >= k+1 is finite (`w_vector`)."""
+    return t <= v[k] and (t == INF or t <= k or v[n + k - t] == INF)
 
 
 def el_label(a, b, n: int, s=frozenset()) -> Label:
@@ -185,11 +236,16 @@ def el_label(a, b, n: int, s=frozenset()) -> Label:
 
 
 def _el_label(a, b, n: int, s) -> Label:
-    """`el_label` for an edge already known to be a cover of T_n^S."""
+    """`el_label` for an edge already known to be a cover of T_n^S.
+
+    Only the W_{k+1,t} of the changed coordinate k are tried, in label
+    order, without (k+1, n-1) for k+1 in s.  The bottom, dropped from the
+    irreducibles of T_1^{1}, lies below a, so it never passes.
+    """
     k = next(k for k in range(n) if a[k] != b[k])
-    for lab, w in _irreducibles_at(n, frozenset(s))[k]:
-        if bb.leq(w, b) and not bb.leq(w, a):
-            return lab
+    for t in (*range(1, n), INF):
+        if not (t == n - 1 and k + 1 in s) and _w_leq(k, t, b, n) and not _w_leq(k, t, a, n):
+            return (k + 1, t)
     raise AssertionError("cover edge with empty irreducible set")
 
 
@@ -248,7 +304,6 @@ def decreasing_chain_build(y, z, n: int, s=frozenset()):
     it overshoots z or the labels stop decreasing."""
     if not bb.leq(y, z):
         raise ValueError(f"{y} is not below {z}")
-    rank = _label_rank(n, frozenset(s))
     chain = [y]
     last = None
     cur = y
@@ -260,7 +315,7 @@ def decreasing_chain_build(y, z, n: int, s=frozenset()):
         w = q.project(cur[:k] + (nxt,) + cur[k + 1 :], s, n)
         if not bb.leq(w, z):
             return None
-        r = rank[el_label(cur, w, n, s)]
+        r = _label_rank(el_label(cur, w, n, s), n, s)
         if last is not None and not r < last:
             return None
         chain.append(w)

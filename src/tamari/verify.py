@@ -11,8 +11,11 @@ when it runs, so a patched or traced suite is the one called.
 Suites over T_n^S work in the index space of `shelling.lattice_elements`.
 The witnesses stay independent of what they check: the oracle receives
 only the order matrix, `suite_covers` never reads the cached covers,
-`suite_lattice` fills its own tables from the kind's meet and join, and
-`suite_el` sets the cached-cover search against `decreasing_chain_build`.
+`suite_lattice` fills its own tables from the row forms of the kind's meet
+and join and checks the scalar forms against them, and `suite_el` sets the
+cached-cover search against `decreasing_chain_build`.  The whole-lattice
+passes of `suite_lattice` and `suite_congruence` call the row forms
+(`bracket_b` explains the two forms).
 """
 
 from __future__ import annotations
@@ -53,6 +56,11 @@ def _report(name: str, lat, failures: list[str], checked: int, **extra) -> dict:
             **extra, "type": lat.name, "n": lat.n, "s": sorted(lat.s)}
 
 
+def _as_vector(row) -> tuple:
+    """The bracket vector of a float row, as the scalar kernels print it."""
+    return tuple(x if x == math.inf else int(x) for x in row.tolist())
+
+
 def _poset(elems):
     """The oracle poset of bracket vectors under the componentwise order."""
     from .oracle import FinitePoset  # numpy loads only once a suite needs the oracle
@@ -64,12 +72,14 @@ def _poset(elems):
 def suite_lattice(kind: str, n: int, s=()) -> dict:
     """Poset is a lattice per oracle; formula meet/join match it on all pairs.
 
-    The formulas fill `shelling.op_table`s after the oracle tables; each
-    value is compared with both oracle entries [a, b] and [b, a].
-    `checked` counts those N^2 entries plus the triples of the lattice-
-    algebra pass (types b and bds), which reads the tables and calls the
-    formulas in the other argument order, for commutativity: every triple
-    while N^3 <= 10,000, a seeded sample beyond.
+    The row forms of the formulas fill `shelling.op_table`s after the
+    oracle tables; each value is compared with both oracle entries [a, b]
+    and [b, a], over the upper triangle, and a failure line names the value
+    the row form gives.  `checked` counts those N^2 entries plus the
+    triples of the lattice-algebra pass (types b and bds), which reads the
+    tables and calls the scalar formulas in the other argument order, so
+    it checks commutativity and the scalar against the row form: every
+    triple while N^3 <= 10,000, a seeded sample beyond.
     """
     import numpy as np
 
@@ -78,23 +88,28 @@ def suite_lattice(kind: str, n: int, s=()) -> dict:
     elems = lat.elements()
     po = _poset(elems)
     oracle = {"meet": po.all_meets(), "join": po.all_joins()}
-    ops = {"meet": lat.meet, "join": lat.join}
+    row_ops = {"meet": lat.meet_rows, "join": lat.join_rows}
     index = po.index
-    tables = {name: sh.op_table(elems, index, op) for name, op in ops.items()}
+    tables = {name: sh.op_table(elems, op) for name, op in row_ops.items()}
     named = [*elems, None]  # index -1, no meet or join, reads as None
     checked = len(elems) ** 2
-    for i, a in enumerate(elems):
-        for name, op in ops.items():
-            got, row, col = tables[name][i, i:], oracle[name][i, i:], oracle[name][i:, i]
-            for k in np.flatnonzero((got != row) | (got != col)).tolist():
-                b = elems[i + k]
-                v = op(a, b)  # called again to name the value
-                if got[k] != row[k]:
-                    failures.append(f"{name}({a},{b}) = {v} != oracle {named[row[k]]}")
-                if got[k] != col[k]:
-                    failures.append(
-                        f"{name}({a},{b}) = {v} != oracle {name}({b},{a}) = {named[col[k]]}"
-                    )
+    names = list(row_ops)
+    wrong = []  # (i, name index, j) with i <= j; sorted, the order the lines are written
+    for w, name in enumerate(names):
+        got, want = tables[name], oracle[name]
+        if np.array_equal(got, want) and np.array_equal(got, want.T):
+            continue  # no N x N mask is held on a passing run
+        bad = np.triu((got != want) | (got != want.T))
+        wrong += [(i, w, j) for i, j in zip(*(x.tolist() for x in bad.nonzero()))]
+    for i, w, j in sorted(wrong):
+        name = names[w]
+        a, b, got = elems[i], elems[j], tables[name][i, j]
+        v = _as_vector(row_ops[name](a, np.array([b], dtype=float))[0])
+        row, col = oracle[name][i, j], oracle[name][j, i]
+        if got != row:
+            failures.append(f"{name}({a},{b}) = {v} != oracle {named[row]}")
+        if got != col:
+            failures.append(f"{name}({a},{b}) = {v} != oracle {name}({b},{a}) = {named[col]}")
     if (oracle["meet"] < 0).any() or (oracle["join"] < 0).any():
         failures.append("oracle: not a lattice")
     if isinstance(lat, TypeB):  # type B and its quotients only
@@ -224,32 +239,63 @@ def suite_el(kind: str, n: int, s=()) -> dict:
     return _report("el", lat, failures, checked)
 
 
+def _class_tops(every: sh.RowIndex, g, s, n: int):
+    """`q.project` of every row of g: the class tops, each checked, as
+    `project` checks, to be an element of T_n^B."""
+    tops = q._project_rows(g.copy(), s, n)
+    left = every.lookup(tops) < 0
+    if left.any():
+        k = int(left.argmax())
+        raise AssertionError(
+            f"projection of {_as_vector(g[k])} left the lattice: {_as_vector(tops[k])}"
+        )
+    return tops
+
+
 def suite_congruence(kind: str, n: int, s=()) -> dict:
     """Congruence both ways, plus quotient order = subposet order.
 
     The meet half of the congruence is known to fail (see the erratum in
-    the README); it is checked faithfully regardless.
+    the README); it is checked faithfully regardless.  For each v with
+    w = project(v) != v, the type-B joins and meets of v and of w with
+    every z of T_n^B are row forms, projected and compared per z.  The
+    non-sublattice witness is the first pair of T_n^S, row-major, whose
+    type-B join has n-1 at a coordinate in S.
     """
+    import numpy as np
+
     lat = _lattice("congruence", kind, n, s)
     s = lat.s
     failures: list[str] = []
     checked = 0
     elems = lat.elements()
     vecs = TypeB(n).elements()  # all of T_n^B, under the same cap
+    every = sh.RowIndex(vecs)
     pairs = [(v, q.project(v, s, n)) for v in vecs if q.project(v, s, n) != v]
     for v, w in pairs:
-        for z in vecs:
-            checked += 1
-            if not q.equivalent(bb.join(v, z, n), bb.join(w, z, n), s, n):
+        checked += len(vecs)
+        apart = {}
+        for name, op in (("join", bb.join_rows), ("meet", bb.meet_rows)):
+            tv, tw = (_class_tops(every, op(x, every.rows, n), s, n) for x in (v, w))
+            apart[name] = (tv != tw).any(1)
+        for k in (apart["join"] | apart["meet"]).nonzero()[0].tolist():
+            z = vecs[k]
+            if apart["join"][k]:
                 failures.append(f"join congruence fails: v={v} w={w} z={z}")
-            if not q.equivalent(bb.meet(v, z, n), bb.meet(w, z, n), s, n):
+            if apart["meet"][k]:
                 failures.append(f"meet congruence fails: v={v} w={w} z={z}")
     wrong = elems.meets != _poset(elems).all_meets()  # the type-B meet against the oracle's
     checked += wrong.size
     for i, j in zip(*(x.tolist() for x in wrong.nonzero())):
         failures.append(f"inherited meet wrong at {elems[i]},{elems[j]}")
-    pairs = ((a, b) for a in elems for b in elems)
-    witness = next((p for p in pairs if not q.vector_in_tns(bb.join(*p, n), n, s)), None)
+    rows = np.array(elems, dtype=float)
+    in_s = [k - 1 for k in sorted(s)]
+    witness = None
+    for a in elems:
+        out = (bb.join_rows(a, rows, n)[:, in_s] == n - 1).any(1)
+        if out.any():
+            witness = (a, elems[int(out.argmax())])
+            break
     return _report("congruence", lat, failures, checked, non_sublattice_witness=witness)
 
 

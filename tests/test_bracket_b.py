@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tamari
@@ -12,6 +12,7 @@ from tamari import quotient_bds as q
 from tamari import tamari_a as ta
 from tamari import tri_b
 from tamari.bracket_b import INF
+from tamari.kinds import lattice_kind
 
 
 def all_tuples(n):
@@ -295,6 +296,38 @@ def test_meet_join_large_n(data):
     assert bb.meet(a, a, n) == a == bb.join(a, a, n)
     assert m == bb.down(tuple(map(min, a, b)), n)
     assert j == bb.up(tuple(map(max, a, b)), n)
+
+
+@pytest.mark.parametrize("kind, max_n", [("b", 5), ("bds", 4), ("a", 6)])
+def test_row_forms_equal_the_scalar_formulas_on_every_pair(kind, max_n):
+    # the suites check the row forms against the oracle over these ranges,
+    # so the scalar meet and join (q._join_s for bds) stay oracle-checked
+    for n in range(1, max_n + 1):
+        for s in all_subsets(n) if kind == "bds" else [()]:
+            lat = lattice_kind(kind, n, s)
+            elems = list(lat.elements())
+            rows = np.array(elems, dtype=float)
+            for a in elems:
+                for name in ("meet", "join"):
+                    got = getattr(lat, f"{name}_rows")(a, rows)
+                    want = [getattr(lat, name)(a, b) for b in elems]
+                    assert (got == np.array(want, dtype=float)).all(), (kind, n, s, name, a)
+            assert (rows == np.array(elems, dtype=float)).all()  # the operand rows are not written
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_row_forms_equal_the_scalar_formulas_at_n_64(data):
+    n = 64
+    a = data.draw(bracket_vectors(n, n))[0]
+    batch = [data.draw(bracket_vectors(n, n))[0] for _ in range(data.draw(st.integers(1, 5)))]
+    s = data.draw(st.frozensets(st.integers(1, n)))
+    rows = np.array(batch, dtype=float)
+    for row_op, op in ((bb.meet_rows, bb.meet), (bb.join_rows, bb.join)):
+        assert (row_op(a, rows, n) == np.array([op(a, b, n) for b in batch], dtype=float)).all()
+    a, batch = q.project(a, s, n), [q.project(b, s, n) for b in batch]  # members of T_n^S
+    want = np.array([q._join_s(a, b, s, n) for b in batch], dtype=float)
+    assert (q._join_s_rows(a, np.array(batch, dtype=float), s, n) == want).all()
 
 
 def test_json_round_trip():

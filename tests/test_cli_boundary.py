@@ -129,16 +129,19 @@ def test_json_size_below_one_is_refused(argv):
 def test_count_closed_form():
     assert run("count", "--n", "30")[1] == "118264581564861424\n"  # C(60, 30)
     assert run("count", "--type", "a", "--n", "30")[1] == f"{ta.catalan(31)}\n"
-    code, out, err = run("count", "--n", "100000")
-    assert code == 1 and out == "" and "cap" in err
+    bds = run("count", "--type", "bds", "--n", "30", "--s", "1,2")[1]
+    assert bds == f"{118264581564861424 - 2 * ta.catalan(29)}\n"
+    for argv in (["count", "--n", "100000"], ["count", "--type", "bds", "--n", "5001", "--s", "1"]):
+        code, out, err = run(*argv)
+        assert code == 1 and out == "" and "cap" in err, argv
 
 
-def test_enumerate_and_bds_count_refuse_above_the_cap():
+def test_enumerate_and_verify_refuse_above_the_cap():
     for argv in (
         ["enumerate", "--n", "30"],
         ["enumerate", "--n", "12"],  # C(24, 12) = 2,704,156
         ["enumerate", "--type", "a", "--n", "13"],  # Catalan(14) = 2,674,440
-        ["count", "--type", "bds", "--n", "12", "--s", "1"],
+        ["enumerate", "--type", "bds", "--n", "12", "--s", "1"],  # 2,645,370
         *(
             ["verify", *suite, "--n", "12", "--max-n-unsafe", "12"]
             for suite in (["leftmod"], ["el"], ["congruence", "--type", "bds", "--s", "1"])

@@ -4,6 +4,7 @@ from conftest import all_subsets
 from tamari import bracket_b as bb
 from tamari import quotient_bds as q
 from tamari.bracket_b import INF
+from tamari.kinds import lattice_kind
 
 
 def test_in_tns_examples(triangulations_by_n):
@@ -154,3 +155,10 @@ def test_counts_match_bds_partitions():
         ncb = nc.enumerate_ncb(n)
         for s in all_subsets(n):
             assert len(q.elements_tns(n, s)) == sum(1 for p in ncb if nc.in_bds(p, s))
+
+
+def test_bds_size_in_closed_form_equals_the_listing():
+    # C(2n, n) - |S| Catalan(n-1): the closed form that `count --type bds` prints
+    for n in range(1, 7):
+        for s in all_subsets(n):
+            assert lattice_kind("bds", n, s).size() == len(q.elements_tns(n, s)), (n, s)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,22 @@ def test_verify_el_negative_control(fresh_lattices):
     lat.ranks = [[-r for r in ranks] for ranks in lat.ranks]  # reversed label order
     rep = sh.verify_el(3)
     assert not rep["passed"] and rep["violations"]
+
+
+def test_row_index_names_elements_and_only_elements():
+    # every row of the box, out-of-range entries included: (0, 7) at n = 2
+    # has the base-3 key of (inf, 1), and (0, -1) clips to the key of (0, 0)
+    for n in range(1, 5):
+        elems = sh.lattice_elements(n, frozenset())
+        rows = sh.RowIndex(elems)
+        assert rows.lookup(rows.rows).tolist() == list(range(len(elems)))
+        box = list(itertools.product([*range(n + 2), 2 * n + 3, -1, INF], repeat=n))
+        got = rows.lookup(np.array(box, dtype=float)).tolist()
+        assert got == [elems.index.get(v, -2) for v in box], n
+
+
+def test_label_rank_is_the_place_among_the_irreducibles():
+    for n in range(1, 7):
+        for s in all_subsets(n):
+            for k, (lab, _) in enumerate(sh.join_irreducibles(n, s)):
+                assert sh._label_rank(lab, n, s) == k, (n, s, lab)

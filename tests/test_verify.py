@@ -26,25 +26,30 @@ def test_suite_lattice_all_types():
 
 
 def test_suite_lattice_reports_a_wrong_meet_against_both_entries(monkeypatch):
-    """The formula runs once per unordered pair; its value is compared with
-    the oracle's [a, b] and [b, a], also when it is not an element."""
+    """The row form fills each unordered pair once; its value is compared
+    with the oracle's [a, b] and [b, a], also when it is not an element,
+    and the scalar formula is compared with it."""
     lat = lattice_kind("b", 2)
     elems = lat.elements()
     a, b = elems[1], elems[4]  # a listed before b
     right = lat.meet(a, b)
-    true_meet = TypeB.meet
+    true_meet_rows = TypeB.meet_rows
     for wrong in (elems[-1], (1, 0), (0, 7)):  # another element, then vectors outside T_2^B
-        def meet(self, x, y, wrong=wrong):
-            return wrong if (x, y) == (a, b) else true_meet(self, x, y)
+        def meet_rows(self, x, rows, wrong=wrong):
+            out = true_meet_rows(self, x, rows)
+            if x == a:
+                out[(rows == b).all(1)] = wrong
+            return out
 
-        monkeypatch.setattr(TypeB, "meet", meet)
+        monkeypatch.setattr(TypeB, "meet_rows", meet_rows)
         rep = vfy.suite_lattice("b", 2)
         assert not rep["passed"]
         assert f"meet({a},{b}) = {wrong} != oracle {right}" in rep["failures"]
         assert f"meet({a},{b}) = {wrong} != oracle meet({b},{a}) = {right}" in rep["failures"]
+        assert f"commutativity fails at {a},{b}" in rep["failures"]
         assert not any("join(" in f for f in rep["failures"])
     # and the oracle's [b, a] entry is read on its own
-    monkeypatch.setattr(TypeB, "meet", true_meet)
+    monkeypatch.setattr(TypeB, "meet_rows", true_meet_rows)
     all_meets = FinitePoset.all_meets
 
     def skewed(self):
@@ -125,9 +130,16 @@ def test_suite_covers_reports_a_claimed_non_cover(monkeypatch):
 
 def test_suite_congruence_reports_a_wrong_inherited_meet(monkeypatch, fresh_lattices):
     elems = list(sh.lattice_elements(3, frozenset({3})))
-    a, b = elems[1], elems[4]  # a listed before b, so the table calls meet(a, b)
-    meet = bb.meet
-    monkeypatch.setattr(bb, "meet", lambda x, y, n: elems[0] if (x, y) == (a, b) else meet(x, y, n))
+    a, b = elems[1], elems[4]  # a listed before b, so a's table row holds meet(a, b)
+    meet_rows = bb.meet_rows
+
+    def wrong(x, rows, n):
+        out = meet_rows(x, rows, n)
+        if x == a:
+            out[(rows == b).all(1)] = elems[0]
+        return out
+
+    monkeypatch.setattr(bb, "meet_rows", wrong)
     sh.lattice_elements.cache_clear()
     rep = vfy.suite_congruence("bds", 3, (3,))
     assert rep["failures"] == [f"inherited meet wrong at {a},{b}", f"inherited meet wrong at {b},{a}"]
