@@ -173,8 +173,9 @@ def test_verify_el_negative_control(fresh_lattices):
 
 
 def test_row_index_names_elements_and_only_elements():
-    # every row of the box, out-of-range entries included: (0, 7) at n = 2
-    # has the base-3 key of (inf, 1), and (0, -1) clips to the key of (0, 0)
+    # every row of the box, out-of-range entries included: a bare base-3
+    # key aliases (0, 7) at n = 2 to (inf, 1), the clipped one to (0, inf),
+    # and (0, -1) clips to the key of (0, 0)
     for n in range(1, 5):
         elems = sh.lattice_elements(n, frozenset())
         rows = sh.RowIndex(elems)

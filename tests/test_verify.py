@@ -62,6 +62,34 @@ def test_suite_lattice_reports_a_wrong_meet_against_both_entries(monkeypatch):
     assert rep["failures"] == [f"meet({a},{b}) = {right} != oracle meet({b},{a}) = {elems[-1]}"]
 
 
+def test_suite_lattice_failure_lines_go_by_row_then_meet_before_join(monkeypatch):
+    lat = lattice_kind("b", 2)
+    elems = lat.elements()
+    top = elems[-1]
+    bent = {"meet": [(1, 4), (0, 2)], "join": [(1, 1), (0, 3)]}  # pairs i <= j given a wrong value
+    for name, pairs in bent.items():
+        true_rows = getattr(TypeB, f"{name}_rows")
+
+        def bent_rows(self, x, rows, true_rows=true_rows, pairs=pairs):
+            out = true_rows(self, x, rows)
+            for i, j in pairs:
+                if x == elems[i]:
+                    out[(rows == elems[j]).all(1)] = top
+            return out
+
+        monkeypatch.setattr(TypeB, f"{name}_rows", bent_rows)
+    want = []
+    order = sorted((i, name == "join", j, name) for name, pairs in bent.items() for i, j in pairs)
+    for i, _, j, name in order:
+        a, b = elems[i], elems[j]
+        right = getattr(lat, name)(a, b)
+        assert right != top
+        want += [f"{name}({a},{b}) = {top} != oracle {right}",
+                 f"{name}({a},{b}) = {top} != oracle {name}({b},{a}) = {right}"]
+    rep = vfy.suite_lattice("b", 2)
+    assert [f for f in rep["failures"] if f.startswith(("meet(", "join("))] == want
+
+
 # (suite, type, S, checked, passed) at n = 3; `lattice` is pinned above.
 PINNED = [
     ("covers", "a", (), 196, True), ("covers", "b", (), 400, True),
