@@ -29,7 +29,7 @@ error, so the witness `violation` reports is that of the pair scan.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from math import inf as INF
 
 from .polygon import ccw_distance, chord, chord_partner, n_vertices
@@ -229,9 +229,9 @@ def fits_at(v: Vector, n: int, k: int, x) -> bool:
     and (k, j), condition (ii) at k, and the condition (ii) references that
     land on k, in O(n).  Entries of v equal to None are unset and constrain
     nothing.  For a valid v this equals `is_valid(v[:k] + (x,) + v[k+1:], n)`,
-    because every other constraint is one v already satisfies.  It is the
-    one per-coordinate check: `vectors_with`, the cover tests of all three
-    kinds and `psi_inverse` use it (type A at size n+1).
+    because every other constraint is one v already satisfies.  It checks
+    partial vectors: `vectors_with` and `psi_inverse`'s free coordinates
+    use it; the covers take the next legal value from `_next_value`.
     """
     if x != INF:
         # (i) with k as the larger index; the bound falls as i moves left
@@ -252,30 +252,59 @@ def fits_at(v: Vector, n: int, k: int, x) -> bool:
     return True
 
 
+def _next_value(v: Vector, n: int, k: int, bound):
+    """Smallest legal value above a finite v_k at coordinate k of a valid v, or None.
+
+    bound is U_k, the least v_j - (j - k) >= 0 over j > k (inf when there
+    is none): condition (i) caps every value there, and inf is legal only
+    when U_k is inf.  The finite scan starts at v_k + 1; each step either
+    takes one more i into the condition-(i) window [k - x, k - 1], whose
+    v_i + k - i the value must reach (so x jumps there), or moves past an
+    x >= k + 1 whose reference v_{n+k-x} is finite (condition (ii) at k).
+    Validity spares two checks: indices above k - v_k - 1 already meet
+    (i) against v_k, and no earlier v_i = n + i - k refers to k through
+    condition (ii), since that would force v_k = inf.
+    """
+    x, top = v[k] + 1, min(bound, n - 1)
+    i = k - x
+    while x <= top:
+        if 0 <= i and k - x <= i:
+            x = max(x, v[i] + k - i)
+            i -= 1
+        elif x > k and v[n + k - x] != INF:
+            x += 1
+        else:
+            return x
+    return INF if bound == INF else None
+
+
 def _next_value_at(v: Vector, n: int, k: int):
-    """Smallest legal strictly larger value at coordinate k, or None."""
+    """`_next_value` for one coordinate of a valid v, or None at inf; O(n)."""
     if v[k] == INF:
         return None
-    for x in list(range(int(v[k]) + 1, n)) + [INF]:
-        if fits_at(v, n, k, x):
-            return x
-    return None
+    bound = min((v[j] - j + k for j in range(k + 1, n) if v[j] - j + k >= 0), default=INF)
+    return _next_value(v, n, k, bound)
 
 
 def upper_covers(v: Vector, n: int) -> list[Vector]:
     """Covers differ in one coordinate, raised to the next legal value.
 
-    v is validated once; each candidate value is then re-checked only
-    against the constraints at the changed coordinate (`fits_at`).
+    v is validated once.  One right-to-left pass keeps the finite v_j - j
+    of j > k sorted, so `bisect` gives every U_k for `_next_value`.
     """
     _check_valid(v, n)
+    bounds: list = [INF] * n
+    later: list = []
+    for k in range(n - 1, -1, -1):
+        p = bisect_left(later, -k)
+        if p < len(later):
+            bounds[k] = later[p] + k
+        if v[k] != INF:
+            insort(later, v[k] - k)
     out = []
-    for k in range(n):
-        if v[k] == INF:
-            continue
-        x = _next_value_at(v, n, k)
-        if x is not None:
-            out.append(v[:k] + (x,) + v[k + 1 :])
+    for k, x in enumerate(v):
+        if x != INF and (y := _next_value(v, n, k, bounds[k])) is not None:
+            out.append(v[:k] + (y,) + v[k + 1 :])
     return out
 
 
@@ -287,8 +316,8 @@ def covers(a: Vector, b: Vector, n: int) -> bool:
 def _covers(a: Vector, b: Vector, n: int) -> bool:
     """`covers` without its checks: a and b must be valid.
 
-    b covers a iff one coordinate differs, raised to its next legal value;
-    the values in between are checked only at that coordinate (`fits_at`).
+    b covers a iff one coordinate differs, raised to its next legal value
+    (`_next_value_at`).
     """
     diffs = [k for k in range(n) if a[k] != b[k]]
     if len(diffs) != 1:

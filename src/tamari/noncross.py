@@ -9,17 +9,20 @@ a mixed red chord has both endpoints nudged counter-clockwise, so it
 separates the half-open index range [unbarred end, barred end); a pure red
 chord has its endpoints nudged together, separating the open range between
 them.  The vertices n+1 and (n+1)bar are erased afterwards.  Which side of
-a cut a surviving vertex lands on never depends on the nudge sizes, so the
-cells are computed with exact integer interval tests.
+a cut a surviving vertex lands on never depends on the nudge sizes, and the
+cuts never cross, so one sweep names each cell by the innermost cut that
+holds it (`polygon.innermost_cut`).  `psi_inverse` finds block members by
+position maps and `bisect`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import inf as INF
 
 from . import bracket_b as bb
-from .polygon import chord_kind, is_barred, json_n, label_value, n_vertices
+from .polygon import chord_kind, innermost_cut, is_barred, json_n, label_value, n_vertices
 from .tri_b import TriangulationB, red_set
 
 
@@ -39,12 +42,6 @@ class NoncrossingPartitionB:
                 seen.add(x)
         if len(seen) != 2 * self.n:
             raise ValueError("blocks must partition {1..n, -1..-n}")
-
-    def block_of(self, x: int) -> frozenset[int]:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise KeyError(x)
 
     def sorted_blocks(self) -> list[list[int]]:
         def elem_key(x: int) -> tuple[int, int]:
@@ -95,11 +92,9 @@ def _blocks_cross(b1, b2, n: int) -> bool:
     if len(pos1) < 2:
         return False
     # b2 must sit inside a single gap of b1 (cyclically)
-    import bisect
-
     gaps = set()
     for q in pos2:
-        k = bisect.bisect_left(pos1, q)
+        k = bisect_left(pos1, q)
         gaps.add(k % len(pos1))
     return len(gaps) > 1
 
@@ -153,20 +148,14 @@ def _cuts(t: TriangulationB) -> list[tuple[int, int]]:
 
 
 def psi(t: TriangulationB) -> NoncrossingPartitionB:
-    """The type-B noncrossing partition induced by the red chords."""
+    """The type-B noncrossing partition induced by the red chords: a vertex's
+    cell is named by the innermost cut that holds it (`innermost_cut`)."""
     n = t.n
-    cuts = _cuts(t)
-    erased = {n, 2 * n + 1}
-
-    def key(idx: int) -> tuple:
-        return tuple(lo <= idx < hi for lo, hi in cuts)
-
-    cells: dict[tuple, set[int]] = {}
-    for idx in range(n_vertices(n)):
-        if idx in erased:
-            continue
-        x = label_value(idx, n) * (-1 if is_barred(idx, n) else 1)
-        cells.setdefault(key(idx), set()).add(x)
+    cells: dict[int, set[int]] = {}
+    for idx, k in enumerate(innermost_cut(_cuts(t), n_vertices(n))):
+        if idx not in (n, 2 * n + 1):  # the erased vertices
+            x = label_value(idx, n) * (-1 if is_barred(idx, n) else 1)
+            cells.setdefault(k, set()).add(x)
     return NoncrossingPartitionB(n, frozenset(frozenset(b) for b in cells.values()))
 
 
@@ -248,20 +237,38 @@ def in_bds(p: NoncrossingPartitionB, s) -> bool:
     return not any(b in forbidden for b in p.blocks)
 
 
-def _walk_ccw(i: int, n: int):
-    """Vertices counter-clockwise from the ccw neighbour of i, as labels.
+def _fixed_values(p: NoncrossingPartitionB) -> list:
+    """The coordinates `psi_inverse`'s case analysis fixes, None where free.
 
-    Yields signed labels, skipping the erased vertices n+1 and (n+1)bar,
-    ending with i itself after a full wrap.
+    Each block keeps its members' circle positions sorted, and `at` maps a
+    position to its block, so the first member counter-clockwise from i's
+    neighbour is one `bisect`: the member just below i's position, or,
+    with none below, the block's last (i itself when alone).
     """
-    m = n_vertices(n)
-    start = (i - 2) % m
-    for step in range(m - 1):
-        idx = (start - step) % m
-        if idx in (n, 2 * n + 1):
-            continue
-        yield label_value(idx, n) * (-1 if is_barred(idx, n) else 1)
-    yield i
+    n = p.n
+    blocks = [sorted(circle_pos(x, n) for x in b) for b in p.blocks]
+    at = [0] * (2 * n)
+    for k, b in enumerate(blocks):
+        for q in b:
+            at[q] = k
+    vals: list = [None] * n
+    for i in range(1, n + 1):
+        mine = blocks[at[i - 1]]
+        q = mine[bisect_left(mine, i - 1) - 1]  # index -1 wraps to the last
+        v = q + 1 if q < n else n - 1 - q
+        prev = blocks[at[i - 2]]  # block(i-1); unread at i = 1
+        if i >= 2 and bisect_left(prev, i) < bisect_left(prev, n):  # some w in (i, n]
+            vals[i - 1] = 0
+        elif i >= 2 and v == i - 1:
+            vals[i - 1] = 0
+        elif 0 < v < i - 1:
+            vals[i - 1] = i - 1 - v
+        elif v < 0:
+            j = -v
+            vals[i - 1] = n + i - j - 1 if j >= i else INF
+        elif v == n and i < n:
+            vals[i - 1] = INF
+    return vals
 
 
 def psi_inverse(p: NoncrossingPartitionB) -> TriangulationB:
@@ -297,26 +304,8 @@ def psi_inverse(p: NoncrossingPartitionB) -> TriangulationB:
     if not is_noncrossing_b(p):
         raise ValueError("input is not a symmetric noncrossing partition")
     n = p.n
-    vals: list = [None] * n
-    free: list[int] = []
-    for i in range(1, n + 1):
-        block = p.block_of(i)
-        v = next(x for x in _walk_ccw(i, n) if x in block)
-        if i >= 2 and any(i < w <= n for w in p.block_of(i - 1)):
-            vals[i - 1] = 0
-        elif i >= 2 and v == i - 1:
-            vals[i - 1] = 0
-        elif 0 < v < i - 1:
-            vals[i - 1] = i - 1 - v
-        elif v < 0:
-            j = -v
-            vals[i - 1] = n + i - j - 1 if j >= i else INF
-        elif v == n and i < n:
-            vals[i - 1] = INF
-        else:
-            free.append(i)
-
-    for i in free:
+    vals = _fixed_values(p)
+    for i in [i for i in range(1, n + 1) if vals[i - 1] is None]:
         lowest = 0 if i == 1 else 1
         for x in [INF, *range(n - 1, lowest - 1, -1)]:
             if bb.fits_at(vals, n, i - 1, x):

@@ -125,6 +125,39 @@ def noncrossing(chords) -> bool:
     return True
 
 
+def innermost_cut(cuts, m: int) -> list[int]:
+    """For each point 0..m-1, the place in `cuts` of the innermost half-open
+    cut [lo, hi) that holds it, or -1 when none does; one stack pass.
+
+    For laminar cuts (any two nested or disjoint) two points lie on the
+    same side of every cut exactly when they get the same answer.  The
+    cuts holding a point form a chain, all containing its innermost cut C.
+    If p and q share C, a cut holds p iff it contains C iff it holds q.
+    If C holds p but not q, C splits them; if C holds both, q's innermost
+    D lies inside C and not around p, so D splits them.
+
+    Sorted by (lo, -hi), the cuts open at a point are the stacked ones,
+    the innermost on top.  A cut starting inside the top one but ending
+    after it crosses it, and every crossing pair meets this O(1) test once
+    its second cut starts, so crossing cuts raise ValueError, never cells.
+    """
+    order = sorted(range(len(cuts)), key=lambda k: (cuts[k][0], -cuts[k][1]))
+    stack = [(-1, m)]  # (place, hi); the whole circle never closes
+    out: list[int] = []
+    j = 0
+    for x in range(m):
+        while stack[-1][1] <= x:
+            stack.pop()
+        while j < len(order) and cuts[order[j]][0] == x:
+            k = order[j]
+            if cuts[k][1] > stack[-1][1]:
+                raise ValueError(f"cuts {cuts[stack[-1][0]]} and {cuts[k]} cross")
+            stack.append((k, cuts[k][1]))
+            j += 1
+        out.append(stack[-1][0])
+    return out
+
+
 def ccw_distance(frm: int, to: int, n: int) -> int:
     """Counter-clockwise steps (decreasing index, mod 2n+2) from frm to to."""
     return (frm - to) % (2 * n + 2)

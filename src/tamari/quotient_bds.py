@@ -141,8 +141,8 @@ def _project_rows(g, s, n: int):
 def covers_s(a, b, s, n: int) -> bool:
     """Cover in (T_n^S, <=): one changed coordinate, no T_n^S element between.
 
-    The finite T_n^S values in between are re-checked only at the changed
-    coordinate (`fits_at`).
+    No finite T_n^S value in between is legal when the next legal value
+    at the changed coordinate (`bb._next_value_at`) is not below both.
     """
     check_member(a, s, n)
     check_member(b, s, n)
@@ -154,8 +154,8 @@ def _covers_s(a, b, s, n: int) -> bool:
     if len(diffs) != 1 or not a[diffs[0]] < b[diffs[0]]:
         return False
     k = diffs[0]
-    between = range(int(a[k]) + 1, min(b[k], _top(n, s, k)))
-    return not any(bb.fits_at(a, n, k, x) for x in between)
+    nxt = bb._next_value_at(a, n, k)
+    return nxt is None or nxt >= min(b[k], _top(n, s, k))
 
 
 def upper_covers_s(v, s, n: int) -> list:

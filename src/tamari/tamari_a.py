@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import bracket_b as bb
-from .polygon import chord, crosses, json_int, json_n, noncrossing, two_endpoints
+from .polygon import chord, crosses, innermost_cut, json_int, json_n, noncrossing, two_endpoints
 
 Chord = tuple[int, int]
 Vector = tuple
@@ -121,17 +121,11 @@ def encode_a(t: TriangulationA) -> Vector:
 
 
 def _fan_complete(region) -> set[Chord]:
-    """Unique all-green triangulation of a region: fan from its largest vertex."""
+    """Unique all-green triangulation of a region: fan from its largest
+    vertex to all but its two region neighbours, the first and the
+    second-to-last."""
     verts = sorted(region)
-    if len(verts) < 3:
-        return set()
-    pos = {v: k for k, v in enumerate(verts)}
-    hub = verts[-1]
-    out = set()
-    for v in verts:
-        if v != hub and abs(pos[v] - pos[hub]) not in (1, len(verts) - 1):
-            out.add(chord(v, hub))
-    return out
+    return {(v, verts[-1]) for v in verts[1:-2]}
 
 
 def decode_a(v: Vector, n: int) -> TriangulationA:
@@ -172,17 +166,13 @@ def psi_a(t: TriangulationA) -> frozenset[frozenset[int]]:
     """Noncrossing partition of [n+1] cut out by the perturbed red chords.
 
     A red chord {i, j} separates the open range (i, j); vertices 0 and n+2
-    are erased; blocks are the classes left unseparated.
+    are erased; blocks are the classes left unseparated, each named by the
+    innermost cut [i+1, j) that holds it (`innermost_cut`).
     """
-    cuts = [(a, b) for a, b in red_set_a(t)]
-    verts = range(1, t.n + 2)
-
-    def key(v: int) -> tuple:
-        return tuple(a < v < b for a, b in cuts)
-
-    blocks: dict[tuple, set[int]] = {}
-    for v in verts:
-        blocks.setdefault(key(v), set()).add(v)
+    cut_of = innermost_cut([(a + 1, b) for a, b in red_set_a(t)], t.n + 3)
+    blocks: dict[int, set[int]] = {}
+    for v in range(1, t.n + 2):
+        blocks.setdefault(cut_of[v], set()).add(v)
     return frozenset(frozenset(b) for b in blocks.values())
 
 

@@ -10,11 +10,15 @@ The noncrossing checks decide with the stack pass `polygon.noncrossing`;
 only a crossing set is scanned pair by pair with `crosses`, to name the
 pair in the error.  `c_i` reads each triangulation's vertex-to-chord-ends
 map, built once, so `red_set` and `encode` are linear in the chords.
+`from_red_set` cuts the polygon into regions in one stack walk
+(`split_regions`, shared with type A) and completes each region by
+position (`green_complete`); nothing recurses, so `decode` works at any n.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -181,60 +185,48 @@ def green_complete(n: int, region) -> set[Chord]:
     Connect every unbarred vertex to the largest unbarred one, every barred
     vertex to the largest barred one, and join the two maxima when both
     types are present.  Connections between region-adjacent vertices are
-    already boundary sides and contribute no chord.
+    already boundary sides and contribute no chord.  Labels grow with the
+    index within each type, so the sorted region splits at n+1 into its
+    unbarred and barred runs, each hub is the last of its run, and
+    adjacency is read off positions: a run's own second-to-last vertex,
+    its first when the run is the whole region, and the two hubs when a
+    run has one vertex.
     """
     verts = sorted(region)
-    if len(verts) < 3:
+    size = len(verts)
+    if size < 4:  # a triangle has no chord
         return set()
-    pos = {v: k for k, v in enumerate(verts)}
-
-    def adjacent_in_region(a: int, b: int) -> bool:
-        return abs(pos[a] - pos[b]) in (1, len(verts) - 1)
-
-    unb = [v for v in verts if not is_barred(v, n)]
-    bar = [v for v in verts if is_barred(v, n)]
+    cut = bisect_left(verts, n + 1)
     out: set[Chord] = set()
-
-    def connect(vs: list[int]) -> None:
-        if not vs:
-            return
-        hub = max(vs, key=lambda v: label_value(v, n))
-        for v in vs:
-            if v != hub and not adjacent_in_region(v, hub):
-                out.add(chord(v, hub))
-
-    connect(unb)
-    connect(bar)
-    if unb and bar:
-        hu = max(unb, key=lambda v: label_value(v, n))
-        hb = max(bar, key=lambda v: label_value(v, n))
-        if not adjacent_in_region(hu, hb):
-            out.add(chord(hu, hb))
+    for lo, hi in ((0, cut), (cut, size)):
+        out.update((verts[p], verts[hi - 1]) for p in range(lo + (hi - lo == size), hi - 2))
+    if 1 < cut < size - 1:
+        out.add((verts[cut - 1], verts[-1]))
     return out
 
 
 def split_regions(m: int, chords) -> list[tuple[int, ...]]:
-    """Cyclic regions an m-gon is cut into by a noncrossing chord family."""
+    """Cyclic regions an m-gon is cut into by a noncrossing chord family.
 
-    def rec(verts: tuple[int, ...], cs: list[Chord]) -> list[tuple[int, ...]]:
-        if not cs:
-            return [verts]
-        a, b = cs[0]
-        ia, ib = verts.index(a), verts.index(b)
-        if ia > ib:
-            ia, ib = ib, ia
-        left = verts[ia : ib + 1]
-        right = verts[ib:] + verts[: ia + 1]
-        lset, rset = set(left), set(right)
-        lcs, rcs = [], []
-        for c in cs[1:]:
-            if c[0] in lset and c[1] in lset and not (c[0] in {a, b} and c[1] in {a, b}):
-                lcs.append(c)
-            else:
-                rcs.append(c)
-        return rec(left, lcs) + rec(right, rcs)
-
-    return rec(tuple(range(m)), sorted(set(chords)))
+    One walk over the vertices with a stack of open regions, the chords
+    sorted by (a, -b).  At vertex x every open region whose chord ends at x
+    takes x and closes (these are on top, innermost first); the region
+    then on top takes x; and one region opens at x for each chord that
+    starts there, outer chord first, with x as its first vertex.
+    """
+    ordered = sorted(set(chords), key=lambda c: (c[0], -c[1]))
+    stack: list[tuple[int, list[int]]] = [(m, [])]  # the outer region, closed after the walk
+    out: list[tuple[int, ...]] = []
+    j = 0
+    for x in range(m):
+        while stack[-1][0] == x:
+            out.append((*stack.pop()[1], x))
+        stack[-1][1].append(x)
+        while j < len(ordered) and ordered[j][0] == x:
+            stack.append((ordered[j][1], [x]))
+            j += 1
+    out.append(tuple(stack[0][1]))
+    return out
 
 
 def from_red_set(n: int, reds) -> TriangulationB:

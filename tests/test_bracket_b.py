@@ -111,6 +111,27 @@ def test_upper_covers_are_next_valid_raises():
             assert bb.upper_covers(v, n) == expected
 
 
+def test_next_value_pass_equals_the_candidate_loop():
+    """The next legal value at every coordinate of every vector for n <= 7,
+    from the one-pass `upper_covers` and the per-coordinate
+    `_next_value_at`, against the candidate loop they replace: each value
+    above v_k in turn, checked by `fits_at`."""
+    count = 0
+    for n in range(1, 8):
+        for v in bb.enumerate_vectors(n):
+            ups = iter(bb.upper_covers(v, n))
+            for k in range(n):
+                loop = None if v[k] == INF else next(
+                    (x for x in [*range(v[k] + 1, n), INF] if bb.fits_at(v, n, k, x)), None
+                )
+                assert bb._next_value_at(v, n, k) == loop, (v, k)
+                if loop is not None:
+                    assert next(ups) == v[:k] + (loop,) + v[k + 1 :], (v, k)
+                count += 1
+            assert next(ups, None) is None, v
+    assert count == 31182
+
+
 def test_covers_examples():
     assert bb.covers((0, 0, 0), (INF, 0, 0), 3)
     assert not bb.covers((0, 0, 0), (0, INF, 0), 3)

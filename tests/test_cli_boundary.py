@@ -212,6 +212,31 @@ def test_type_a_upper_covers_match_the_cover_relation():
             assert kind.upper_covers(v) == [w for w in vecs if tris[w] in ups]
 
 
+def test_top_element_commands_at_n_1200_answer():
+    """decode and psi of the top element, types b and a, and psi-inv of the
+    all-singletons partition at n = 1200 exit 0 with nothing on stderr: no
+    step recurses once per nested chord."""
+    n = 1200
+    top_b, top_a = json.dumps(["inf"] * n), json.dumps(list(range(n + 1)))
+    labels = [*range(1, n + 1), *range(-1, -n - 1, -1)]
+    singles = json.dumps({"n": n, "blocks": [[str(x)] for x in labels]})
+    answers = {}
+    for argv in (
+        ["decode", "--n", str(n), "--vector", top_b],
+        ["psi", "--n", str(n), "--vector", top_b],
+        ["decode", "--type", "a", "--n", str(n), "--vector", top_a],
+        ["psi", "--type", "a", "--n", str(n), "--vector", top_a],
+        ["psi-inv", "--partition", singles],
+    ):
+        code, out, err = run(*argv)
+        assert (code, err) == (0, ""), argv[:3]
+        answers[tuple(argv[:3])] = json.loads(out)
+    assert answers[("psi-inv", "--partition", singles)]["triangulation"] == answers[
+        ("decode", "--n", str(n))
+    ]
+    assert answers[("psi", "--n", str(n))]["blocks"] == [[str(x)] for x in labels]
+
+
 def test_closed_pipe_exits_quietly():
     proc = python(
         "-m", "tamari", "enumerate", "--n", "8", stdout=subprocess.PIPE, stderr=subprocess.PIPE

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 
 from tamari import bracket_b as bb
 from tamari import noncross as nc
+from tamari import polygon as pg
+from tamari import tamari_a as ta
 from tamari.bracket_b import INF
 
 FIG4 = frozenset(
@@ -81,6 +83,69 @@ def test_psi_extremes():
     assert nc.psi(bot).blocks == blocks({1, 2, 3, -1, -2, -3})
     top = bb.decode((INF, INF, INF), 3)
     assert nc.psi(top).blocks == blocks(*({x} for x in (1, 2, 3, -1, -2, -3)))
+
+
+def signed(idx, n):
+    return pg.label_value(idx, n) * (-1 if pg.is_barred(idx, n) else 1)
+
+
+def test_cuts_are_laminar_and_the_sweep_equals_the_key_tuple():
+    """On every vector for n <= 7, types b and a: no two cuts cross, and the
+    cells of `psi` and `psi_a` equal the classes of the tuple of cut
+    memberships they replaced.  A crossing family raises."""
+    with pytest.raises(ValueError, match=r"cuts \(0, 3\) and \(1, 4\) cross"):
+        pg.innermost_cut([(0, 3), (1, 4)], 5)
+    for n in range(1, 8):
+        for v in bb.enumerate_vectors(n):
+            t = bb.decode(v, n)
+            cuts = nc._cuts(t)
+            assert not any(a < c < b < d for (a, b), (c, d) in itertools.permutations(cuts, 2))
+            cells = {}
+            for idx in range(pg.n_vertices(n)):
+                if idx not in (n, 2 * n + 1):
+                    key = tuple(lo <= idx < hi for lo, hi in cuts)
+                    cells.setdefault(key, set()).add(signed(idx, n))
+            assert nc.psi(t).blocks == frozenset(frozenset(c) for c in cells.values()), v
+        for v in ta.enumerate_a(n):
+            t = ta.decode_a(v, n)
+            cuts = ta.red_set_a(t)
+            assert not any(a < c < b < d for (a, b), (c, d) in itertools.permutations(cuts, 2))
+            cells = {}
+            for x in range(1, n + 2):
+                cells.setdefault(tuple(a < x < b for a, b in cuts), set()).add(x)
+            assert ta.psi_a(t) == frozenset(frozenset(c) for c in cells.values()), v
+
+
+def test_fixed_values_by_position_equal_the_ccw_walk():
+    """`_fixed_values` against the case analysis it took from a walk
+    counter-clockwise from i's neighbour, the erased vertices skipped and
+    i itself last, with blocks found by scanning: every psi image for n <= 7."""
+    for n in range(1, 8):
+        m = pg.n_vertices(n)
+        for v in bb.enumerate_vectors(n):
+            p = nc.psi(bb.decode(v, n))
+
+            def block_of(x):
+                return next(b for b in p.blocks if x in b)
+
+            vals = []
+            for i in range(1, n + 1):
+                idxs = ((i - 2 - step) % m for step in range(m - 1))
+                walk = [signed(idx, n) for idx in idxs if idx not in (n, 2 * n + 1)] + [i]
+                w = next(x for x in walk if x in block_of(i))
+                if i >= 2 and any(i < x <= n for x in block_of(i - 1)):
+                    vals.append(0)
+                elif i >= 2 and w == i - 1:
+                    vals.append(0)
+                elif 0 < w < i - 1:
+                    vals.append(i - 1 - w)
+                elif w < 0:
+                    vals.append(n + i + w - 1 if -w >= i else INF)
+                elif w == n and i < n:
+                    vals.append(INF)
+                else:
+                    vals.append(None)
+            assert nc._fixed_values(p) == vals, v
 
 
 def test_psi_bar_involution(vectors_by_n):

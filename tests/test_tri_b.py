@@ -185,6 +185,71 @@ def _all_green_triangulations(n, verts):
     return result
 
 
+def _green_by_label(n, region):
+    """The rule `green_complete` replaced: each hub the member of largest
+    label, adjacency looked up by region position."""
+    verts = sorted(region)
+    if len(verts) < 3:
+        return set()
+    pos = {v: k for k, v in enumerate(verts)}
+
+    def adjacent(a, b):
+        return abs(pos[a] - pos[b]) in (1, len(verts) - 1)
+
+    runs = [[v for v in verts if pg.is_barred(v, n) == barred] for barred in (False, True)]
+    hubs = [max(vs, key=lambda v: pg.label_value(v, n)) for vs in runs if vs]
+    out = {pg.chord(v, hub) for vs, hub in zip([r for r in runs if r], hubs)
+           for v in vs if v != hub and not adjacent(v, hub)}
+    if len(hubs) == 2 and not adjacent(*hubs):
+        out.add(pg.chord(*hubs))
+    return out
+
+
+def test_green_complete_by_position_equals_the_max_by_label_rule():
+    """Every vertex subset of the (2n+2)-gon for n <= 4, 1,360 subsets."""
+    count = 0
+    for n in range(1, 5):
+        m = pg.n_vertices(n)
+        for size in range(m + 1):
+            for region in itertools.combinations(range(m), size):
+                assert tri_b.green_complete(n, region) == _green_by_label(n, region), region
+                count += 1
+    assert count == 1360
+
+
+def _recursive_split(m, chords):
+    """The split the stack pass replaced: cut the polygon along its first
+    chord and recurse on both sides with the chords that fall there."""
+
+    def rec(verts, cs):
+        if not cs:
+            return [verts]
+        a, b = cs[0]
+        ia, ib = sorted((verts.index(a), verts.index(b)))
+        left, right = verts[ia : ib + 1], verts[ib:] + verts[: ia + 1]
+        lcs = [c for c in cs[1:] if set(c) <= set(left) and set(c) != {a, b}]
+        return rec(left, lcs) + rec(right, [c for c in cs[1:] if c not in lcs])
+
+    return rec(tuple(range(m)), sorted(set(chords)))
+
+
+def test_stack_split_equals_the_recursive_split():
+    """As sets of regions, on the red set and on the full chord set of every
+    vector for n <= 6, types b and a."""
+
+    def regions(rs):
+        return sorted(tuple(sorted(r)) for r in rs)
+
+    for n in range(1, 7):
+        cases = [(pg.n_vertices(n), bb.decode(v, n), tri_b.red_set) for v in bb.enumerate_vectors(n)]
+        cases += [(n + 3, ta.decode_a(v, n), ta.red_set_a) for v in ta.enumerate_a(n)]
+        for m, t, reds in cases:
+            for chords in (reds(t), t.chords):
+                assert regions(tri_b.split_regions(m, chords)) == regions(
+                    _recursive_split(m, chords)
+                ), (n, t)
+
+
 def test_green_complete_unique_by_brute_force():
     # every vertex subset of the octagon with >= 4 vertices has a
     # unique all-green triangulation
