@@ -21,7 +21,7 @@ from .bracket_b import (
     up,
 )
 from .noncross import NoncrossingPartitionB, enumerate_ncb, in_bds, psi, psi_inverse
-from .tri_b import TriangulationB, covers_by_flip, flip
+from .tri_b import TriangulationB, flip
 
 
 def meet(a, b, n):
@@ -50,7 +50,6 @@ __all__ = [
     "TriangulationB",
     "bottom_vector",
     "covers",
-    "covers_by_flip",
     "decode",
     "down",
     "encode",

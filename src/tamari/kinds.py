@@ -1,7 +1,8 @@
 """One object per lattice kind: classical A, type B and the BD^S quotients.
 
 All three use bracket vectors under the componentwise order and take their
-lattice operations from `bracket_b` (type A at size n+1).  A kind binds n
+lattice operations from `bracket_b` at the kind's `width` (n, or n+1 for
+type A), defined once on `Kind`.  A kind binds n
 (and S for BD^S) and owns what differs: parsing outside input (raising only
 ValueError), JSON formatting, enumeration and counting, the geometric
 views, and `suites`, the one record of the verify suites that apply to it.
@@ -39,7 +40,8 @@ def _parse_json(text: str, what: str):
 
 
 class Kind:
-    """What every kind shares: input parsing, counting and enumeration."""
+    """What every kind shares: input parsing, the lattice operations,
+    counting and enumeration."""
 
     def __init__(self, n, s=frozenset()):
         self.n = n
@@ -66,6 +68,30 @@ class Kind:
             raise ValueError(f"invalid triangulation: expected {TRIANGULATION_SHAPE}") from None
         except ValueError as e:
             raise ValueError(f"invalid triangulation: {e}") from None
+
+    @property
+    def width(self) -> int:
+        """The length of the kind's vectors, the size of `bracket_b` they use."""
+        return self.n
+
+    # -- order and operations, those of T_width^B -----------------------------
+
+    def meet(self, a, b):
+        return bb.meet(a, b, self.width)
+
+    def join(self, a, b):
+        return bb.join(a, b, self.width)
+
+    # the row forms: a against every row of an (m, width) float array of elements
+
+    def meet_rows(self, a, rows):
+        return bb.meet_rows(a, rows, self.width)
+
+    def join_rows(self, a, rows):
+        return bb.join_rows(a, rows, self.width)
+
+    def covers(self, a, b) -> bool:
+        return bb._covers(a, b, self.width)
 
     def count(self) -> int:
         if self.n > MAX_COUNT_N:
@@ -106,23 +132,6 @@ class TypeB(Kind):
         return sh.lattice_elements(self.n, self.s)
 
     # -- order and operations -----------------------------------------------
-
-    def meet(self, a, b):
-        return bb.meet(a, b, self.n)
-
-    def join(self, a, b):
-        return bb.join(a, b, self.n)
-
-    # the row forms: a against every row of an (m, n) float array of elements
-
-    def meet_rows(self, a, rows):
-        return bb.meet_rows(a, rows, self.n)
-
-    def join_rows(self, a, rows):
-        return bb.join_rows(a, rows, self.n)
-
-    def covers(self, a, b) -> bool:
-        return bb._covers(a, b, self.n)
 
     def upper_covers(self, v) -> list:
         return bb.upper_covers(v, self.n)
@@ -233,28 +242,15 @@ class TypeA(Kind):
     def _elements(self):
         return ta.enumerate_a(self.n)
 
-    # The type-A vectors are the ideal below (0, 1, ..., n) in T_{n+1}^B, so
-    # meets, joins and covers are those of T_{n+1}^B.
-
-    def meet(self, a, b):
-        return bb.meet(a, b, self.n + 1)
-
-    def join(self, a, b):
-        return bb.join(a, b, self.n + 1)
-
-    def meet_rows(self, a, rows):
-        return bb.meet_rows(a, rows, self.n + 1)
-
-    def join_rows(self, a, rows):
-        return bb.join_rows(a, rows, self.n + 1)
-
-    def covers(self, a, b) -> bool:
-        return bb._covers(a, b, self.n + 1)
+    @property
+    def width(self) -> int:
+        # the type-A vectors are the ideal below (0, 1, ..., n) in T_{n+1}^B
+        return self.n + 1
 
     def upper_covers(self, v) -> list:
         """The type-B covers at size n+1 that stay in the ideal (w_i <= i-1),
         reversed: higher coordinates first is lexicographic order."""
-        ups = bb.upper_covers(v, self.n + 1)
+        ups = bb.upper_covers(v, self.width)
         return [w for w in reversed(ups) if all(x <= k for k, x in enumerate(w))]
 
     def edge_label(self, a, b):

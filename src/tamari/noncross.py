@@ -23,7 +23,7 @@ from math import inf as INF
 
 from . import bracket_b as bb
 from .polygon import chord_kind, innermost_cut, is_barred, json_n, label_value, n_vertices
-from .tri_b import TriangulationB, red_set
+from .tri_b import TriangulationB
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def _cuts(t: TriangulationB) -> list[tuple[int, int]]:
     """Perturbed red chords as half-open index intervals [lo, hi)."""
     n = t.n
     out = []
-    for a, b in red_set(t):
+    for a, b in t.reds:
         if chord_kind((a, b), n) == "mixed":
             out.append((a, b))  # a unbarred, b barred: [a, b)
         else:

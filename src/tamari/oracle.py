@@ -4,11 +4,11 @@ Elements are opaque keys; the only input is the order relation, as a dense
 boolean matrix (`FinitePoset(elements, matrix)`) or as a leq predicate that
 `FinitePoset.build` materializes into one.  Every matrix is checked against
 the poset axioms.  Meets, joins, Mobius values and join irreducibles are
-computed by direct order-theoretic scans, never from bracket-vector
-formulas.  `all_meets`/`all_joins` return N x N index tables in element
-order, with -1 where no meet or join exists, found by hashing down-sets
-(up-sets) as packed bit rows.  This module must not import the rest of the
-package.
+computed from the order alone, never from bracket-vector formulas.
+`all_meets`/`all_joins` return N x N index tables in element order, with
+-1 where no meet or join exists, found by hashing down-sets (up-sets) as
+packed bit rows; the tests check them against a direct scan.  This module
+must not import the rest of the package.
 """
 
 from __future__ import annotations
@@ -69,46 +69,6 @@ class FinitePoset:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def le(self, a, b) -> bool:
-        return bool(self.leq[self.index[a], self.index[b]])
-
-    def bottom(self):
-        hits = [e for k, e in enumerate(self.elements) if self.leq[k].sum() == len(self)]
-        return hits[0] if len(hits) == 1 else None
-
-    def top(self):
-        hits = [e for k, e in enumerate(self.elements) if self.leq[:, k].sum() == len(self)]
-        return hits[0] if len(hits) == 1 else None
-
-    def cover_pairs(self) -> list:
-        return [
-            (self.elements[i], self.elements[j]) for i, j in zip(*np.nonzero(self.covers))
-        ]
-
-    def _extreme(self, candidates: np.ndarray, upper: bool):
-        """Unique maximal (or minimal) element of a candidate set, else None."""
-        idx = np.nonzero(candidates)[0]
-        if len(idx) == 0:
-            return None
-        rel = self.leq[np.ix_(idx, idx)]
-        if upper:
-            best = [k for k in range(len(idx)) if rel[:, k].all()]
-        else:
-            best = [k for k in range(len(idx)) if rel[k, :].all()]
-        return self.elements[idx[best[0]]] if len(best) == 1 else None
-
-    def meet(self, a, b):
-        """Greatest lower bound by direct scan, or None."""
-        i, j = self.index[a], self.index[b]
-        return self._extreme(self.leq[:, i] & self.leq[:, j], upper=True)
-
-    def join(self, a, b):
-        i, j = self.index[a], self.index[b]
-        return self._extreme(self.leq[i, :] & self.leq[j, :], upper=False)
-
-    def is_lattice(self) -> bool:
-        return bool((self.all_meets() >= 0).all() and (self.all_joins() >= 0).all())
 
     def all_meets(self) -> np.ndarray:
         """Index table of all meets: [i, j] is the index of the meet of

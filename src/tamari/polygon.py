@@ -6,11 +6,18 @@ and then 1bar..(n+1)bar.  Internally a vertex is just its circular index
 Index k < n+1 is the unbarred vertex k+1, index k >= n+1 is the barred
 vertex k-n.  Labels serialize as strings: "3" unbarred, "-3" barred.
 
+`Triangulation` is the chord-set core that type A (m = n+3) and type B
+(m = 2n+2) share: the m - 3 count, the crossing check, `ends` and apexes.
+
 Everything here is pure integer arithmetic on cyclic orders; there is no
 floating-point geometry.
 """
 
 from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from functools import cached_property
 
 Chord = tuple[int, int]
 
@@ -71,9 +78,10 @@ def chord_partner(c: Chord, n: int) -> Chord:
     return chord(partner_idx(a, n), partner_idx(b, n))
 
 
-def is_polygon_edge(c: Chord, n: int) -> bool:
+def is_side(c: Chord, m: int) -> bool:
+    """True iff the chord joins two neighbours of the m-gon."""
     a, b = c
-    return (b - a) % (2 * n + 2) in (1, 2 * n + 1)
+    return (b - a) % m in (1, m - 1)
 
 
 def is_diameter(c: Chord, n: int) -> bool:
@@ -163,11 +171,6 @@ def ccw_distance(frm: int, to: int, n: int) -> int:
     return (frm - to) % (2 * n + 2)
 
 
-def boundary_edges(n: int) -> frozenset[Chord]:
-    m = 2 * n + 2
-    return frozenset(chord(k, (k + 1) % m) for k in range(m))
-
-
 def chord_to_labels(c: Chord, n: int) -> list[str]:
     return [label_of(c[0], n), label_of(c[1], n)]
 
@@ -181,3 +184,62 @@ def two_endpoints(pair):
 def chord_from_labels(pair, n: int) -> Chord:
     a, b = two_endpoints(pair)
     return chord(idx_of(a, n), idx_of(b, n))
+
+
+def name_crossing(chords, what: str) -> None:
+    """Raise ValueError naming a crossing pair, found by the pair scan
+    `crosses` once the stack pass `noncrossing` has decided that one exists."""
+    if not noncrossing(chords):
+        for c1, c2 in itertools.combinations(chords, 2):
+            if crosses(c1, c2):
+                raise ValueError(f"{what} {c1} and {c2} cross")
+
+
+@dataclass(frozen=True)
+class Triangulation:
+    """A triangulation of a convex m-gon, as its m - 3 internal chords.  A
+    subclass gives `sides` (m) and `_check_chord(c, m)` for out-of-range
+    chords and polygon sides, checked after the count and before the crossings."""
+
+    n: int
+    chords: frozenset[Chord]
+
+    def __post_init__(self):
+        m = self.sides
+        if len(self.chords) != m - 3:
+            raise ValueError(f"expected {m - 3} chords, got {len(self.chords)}")
+        for c in self.chords:
+            self._check_chord(c, m)
+        name_crossing(self.chords, "chords")
+
+    @classmethod
+    def from_chords(cls, n: int, chords):
+        return cls(n, frozenset(chord(a, b) for a, b in chords))
+
+    def sorted_chords(self) -> list[Chord]:
+        return sorted(self.chords)
+
+    def edges(self) -> frozenset[Chord]:
+        """The chords and the polygon sides."""
+        m = self.sides
+        return self.chords | frozenset(chord(k, (k + 1) % m) for k in range(m))
+
+    @cached_property
+    def ends(self) -> list[list[int]]:
+        """ends[v]: the far ends of the chords at vertex v, built once."""
+        out: list[list[int]] = [[] for _ in range(self.sides)]
+        for a, b in self.chords:
+            out[a].append(b)
+            out[b].append(a)
+        return out
+
+    def apexes(self, c: Chord) -> tuple[int, int]:
+        """The two triangle apexes flanking the chord c, lower index first:
+        the common neighbours of its ends (a triangle of edges is a face)."""
+        if c not in self.chords:
+            raise ValueError(f"{c} is not a chord of the triangulation")
+        a, b = c
+        m = self.sides
+        near = {(a - 1) % m, (a + 1) % m, *self.ends[a]}
+        x, y = sorted(w for w in ((b - 1) % m, (b + 1) % m, *self.ends[b]) if w in near)
+        return x, y

@@ -9,50 +9,34 @@ target.  The vectors and their order are not: a type-A vector is a type-B
 needs r_i >= i).  These vectors are the principal ideal below (0, 1, ..., n)
 in T_{n+1}^B, which gives the type-A lattice its meet, join and covers, so
 validation, enumeration and the lattice operations are `bracket_b`'s at
-size n+1 (`kinds.TypeA`).
+size n+1 (`kinds.Kind.width`).  The chord-set core is
+`polygon.Triangulation`, and `decode_a` cuts and completes regions with
+type B's `split_regions` and `green_complete`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 
 from . import bracket_b as bb
-from .polygon import chord, crosses, innermost_cut, json_int, json_n, noncrossing, two_endpoints
+from .polygon import Chord, Triangulation, chord, innermost_cut, is_side, json_int, json_n
+from .polygon import two_endpoints
+from .tri_b import green_complete, split_regions
 
-Chord = tuple[int, int]
 Vector = tuple
 
 
-@dataclass(frozen=True)
-class TriangulationA:
-    n: int
-    chords: frozenset[Chord]
+class TriangulationA(Triangulation):
+    """A triangulation of the (n+3)-gon."""
 
-    def __post_init__(self):
-        m = self.n + 3
-        if len(self.chords) != self.n:
-            raise ValueError(f"expected {self.n} chords, got {len(self.chords)}")
-        for c in self.chords:
-            a, b = c
-            if not (0 <= a < b < m) or (b - a) % m in (1, m - 1):
-                raise ValueError(f"bad chord {c}")
-        if not noncrossing(self.chords):  # the pair scan only names the pair
-            for c1, c2 in itertools.combinations(self.chords, 2):
-                if crosses(c1, c2):
-                    raise ValueError(f"chords {c1} and {c2} cross")
+    @property
+    def sides(self) -> int:
+        return self.n + 3
 
-    @classmethod
-    def from_chords(cls, n: int, chords) -> "TriangulationA":
-        return cls(n, frozenset(chord(a, b) for a, b in chords))
-
-    def sorted_chords(self) -> list[Chord]:
-        return sorted(self.chords)
-
-    def edges(self) -> set[Chord]:
-        m = self.n + 3
-        return set(self.chords) | {chord(k, (k + 1) % m) for k in range(m)}
+    def _check_chord(self, c: Chord, m: int) -> None:
+        a, b = c
+        if not (0 <= a < b < m) or is_side(c, m):
+            raise ValueError(f"bad chord {c}")
 
     def to_json(self) -> dict:
         return {"n": self.n, "chords": [list(c) for c in self.sorted_chords()]}
@@ -70,19 +54,9 @@ def catalan(k: int) -> int:
 
 
 def quad_of_a(t: TriangulationA, c: Chord) -> tuple[int, ...]:
-    m = t.n + 3
-    a, b = c
-    if (b - a) % m in (1, m - 1):
+    if is_side(c, t.sides):
         raise ValueError("polygon edges have no quadrilateral")
-    if c not in t.chords:
-        raise ValueError(f"{c} is not a chord of the triangulation")
-    edges = t.edges()
-    apexes = [
-        x for x in range(m) if x not in c and chord(a, x) in edges and chord(b, x) in edges
-    ]
-    if len(apexes) != 2:
-        raise ValueError(f"chord {c} does not bound two triangles")
-    return tuple(sorted({a, b, *apexes}))
+    return tuple(sorted({*c, *t.apexes(c)}))
 
 
 def color_a(t: TriangulationA, c: Chord) -> str:
@@ -112,32 +86,22 @@ def enumerate_a(n: int) -> list[Vector]:
 
 
 def encode_a(t: TriangulationA) -> Vector:
-    edges = t.edges()
-    out = []
-    for i in range(1, t.n + 2):
-        least = min(x for x in range(i) if chord(x, i) in edges)
-        out.append(i - 1 - least)
-    return tuple(out)
-
-
-def _fan_complete(region) -> set[Chord]:
-    """Unique all-green triangulation of a region: fan from its largest
-    vertex to all but its two region neighbours, the first and the
-    second-to-last."""
-    verts = sorted(region)
-    return {(v, verts[-1]) for v in verts[1:-2]}
+    """r_i = i-1 - v_i, where v_i, the least vertex joined to i, is its
+    least lower chord end read from `ends`, else its side neighbour i-1."""
+    return tuple(
+        i - 1 - min((x for x in t.ends[i] if x < i), default=i - 1) for i in range(1, t.n + 2)
+    )
 
 
 def decode_a(v: Vector, n: int) -> TriangulationA:
     err = validate_a(v, n)
     if err is not None:
         raise ValueError(f"invalid type-A bracket vector {v}: condition {err[0]} at {err[1]}")
-    from .tri_b import split_regions
-
     reds = {chord(i, i - 1 - v[i - 1]) for i in range(1, n + 2) if v[i - 1] > 0}
     chords = set(reds)
+    # every vertex lies below n+3, so a region is one unbarred run, completed as a fan
     for region in split_regions(n + 3, reds):
-        chords |= _fan_complete(region)
+        chords |= green_complete(n + 2, region)
     t = TriangulationA(n, frozenset(chords))
     assert encode_a(t) == v
     return t
@@ -149,12 +113,7 @@ def red_set_a(t: TriangulationA) -> frozenset[Chord]:
 
 
 def flip_a(t: TriangulationA, c: Chord) -> TriangulationA:
-    q = quad_of_a(t, c)
-    x, y = (v for v in q if v not in c)
-    chords = set(t.chords)
-    chords.discard(c)
-    chords.add(chord(x, y))
-    return TriangulationA(t.n, frozenset(chords))
+    return TriangulationA(t.n, t.chords - {c} | {chord(*t.apexes(c))})
 
 
 def green_flips_a(t: TriangulationA) -> set[TriangulationA]:

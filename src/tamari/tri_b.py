@@ -6,83 +6,63 @@ the quadrilateral rule; the red chords are exactly the scan chords C_i and
 their symmetric partners, and they determine the triangulation (the regions
 they cut out have a unique all-green completion).
 
-The noncrossing checks decide with the stack pass `polygon.noncrossing`;
-only a crossing set is scanned pair by pair with `crosses`, to name the
-pair in the error.  `c_i` reads each triangulation's vertex-to-chord-ends
-map, built once, so `red_set` and `encode` are linear in the chords.
+The chord count, the crossing check that names the pair, the
+vertex-to-chord-ends map `ends` and the apex search are the shared core
+`polygon.Triangulation`; this module adds the symmetry check, the colours
+and the red set, which a triangulation keeps once found (`reds`).  `c_i`
+reads `ends`, so `red_set` and `encode` are linear in the chords.
 `from_red_set` cuts the polygon into regions in one stack walk
-(`split_regions`, shared with type A) and completes each region by
-position (`green_complete`); nothing recurses, so `decode` works at any n.
+(`split_regions`) and completes each region by position
+(`green_complete`), both shared with type A; nothing recurses, so `decode`
+works at any n.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 
 from .polygon import (
     Chord,
-    boundary_edges,
+    Triangulation,
     chord,
     chord_from_labels,
     chord_kind,
     chord_partner,
     chord_to_labels,
-    crosses,
     is_barred,
-    is_polygon_edge,
+    is_side,
     json_n,
     label_value,
     n_vertices,
-    noncrossing,
+    name_crossing,
 )
 
 RED = "red"
 GREEN = "green"
 
 
-@dataclass(frozen=True)
-class TriangulationB:
-    n: int
-    chords: frozenset[Chord]
+class TriangulationB(Triangulation):
+    """A centrally symmetric triangulation of the (2n+2)-gon."""
 
-    def __post_init__(self):
-        m = n_vertices(self.n)
-        if len(self.chords) != 2 * self.n - 1:
-            raise ValueError(f"expected {2 * self.n - 1} chords, got {len(self.chords)}")
-        for c in self.chords:
-            a, b = c
-            if not (0 <= a < b < m):
-                raise ValueError(f"chord {c} out of range")
-            if is_polygon_edge(c, self.n):
-                raise ValueError(f"{c} is a polygon edge, not a chord")
-            if chord_partner(c, self.n) not in self.chords:
-                raise ValueError(f"chord set not symmetric at {c}")
-        if not noncrossing(self.chords):
-            for c1, c2 in itertools.combinations(self.chords, 2):
-                if crosses(c1, c2):
-                    raise ValueError(f"chords {c1} and {c2} cross")
+    @property
+    def sides(self) -> int:
+        return n_vertices(self.n)
+
+    def _check_chord(self, c: Chord, m: int) -> None:
+        a, b = c
+        if not (0 <= a < b < m):
+            raise ValueError(f"chord {c} out of range")
+        if is_side(c, m):
+            raise ValueError(f"{c} is a polygon edge, not a chord")
+        if chord_partner(c, self.n) not in self.chords:
+            raise ValueError(f"chord set not symmetric at {c}")
 
     @cached_property
-    def ends(self) -> list[list[int]]:
-        """ends[v]: the far ends of the chords at vertex v, built once."""
-        out: list[list[int]] = [[] for _ in range(n_vertices(self.n))]
-        for a, b in self.chords:
-            out[a].append(b)
-            out[b].append(a)
-        return out
-
-    @classmethod
-    def from_chords(cls, n: int, chords) -> "TriangulationB":
-        return cls(n, frozenset(chord(a, b) for a, b in chords))
-
-    def sorted_chords(self) -> list[Chord]:
-        return sorted(self.chords)
-
-    def edges(self) -> frozenset[Chord]:
-        return self.chords | boundary_edges(self.n)
+    def reds(self) -> frozenset[Chord]:
+        """The red chords (`red_set`), found once: `from_red_set` checks
+        them and `noncross.psi` cuts along them."""
+        return red_set(self)
 
     def to_json(self) -> dict:
         return {
@@ -96,28 +76,11 @@ class TriangulationB:
         return cls.from_chords(n, [chord_from_labels(p, n) for p in data["chords"]])
 
 
-def _apexes(t: TriangulationB, c: Chord) -> tuple[int, int]:
-    """The two triangle apexes flanking an internal chord."""
-    if c not in t.chords:
-        raise ValueError(f"{c} is not a chord of the triangulation")
-    a, b = c
-    edges = t.edges()
-    common = [
-        x
-        for x in range(n_vertices(t.n))
-        if x not in c and chord(a, x) in edges and chord(b, x) in edges
-    ]
-    if len(common) != 2:
-        raise ValueError(f"chord {c} does not bound two triangles: {common}")
-    return common[0], common[1]
-
-
 def quad_of(t: TriangulationB, c: Chord) -> tuple[int, ...]:
     """The quadrilateral Q(C): the four vertices of the two triangles on C."""
-    if is_polygon_edge(c, t.n):
+    if is_side(c, t.sides):
         raise ValueError("polygon edges bound a single triangle, no quadrilateral")
-    x, y = _apexes(t, c)
-    return tuple(sorted({c[0], c[1], x, y}))
+    return tuple(sorted({*c, *t.apexes(c)}))
 
 
 def color(t: TriangulationB, c: Chord) -> str:
@@ -158,7 +121,7 @@ def c_i(t: TriangulationB, i: int) -> Chord | None:
     """
     if not 1 <= i <= t.n:
         raise ValueError(f"i must be in [1, {t.n}]")
-    m = n_vertices(t.n)
+    m = t.sides
     start = t.n + 1
     # clockwise steps from 1bar; the walk stops before the neighbour i-2
     steps = [(w - start) % m for w in t.ends[i - 1]]
@@ -235,15 +198,12 @@ def from_red_set(n: int, reds) -> TriangulationB:
     for c in reds:
         if chord_partner(c, n) not in reds:
             raise ValueError(f"red set not symmetric at {c}")
-    if not noncrossing(reds):
-        for c1, c2 in itertools.combinations(reds, 2):
-            if crosses(c1, c2):
-                raise ValueError(f"red chords {c1} and {c2} cross")
+    name_crossing(reds, "red chords")
     chords = set(reds)
     for region in split_regions(n_vertices(n), reds):
         chords |= green_complete(n, region)
     t = TriangulationB(n, frozenset(chords))
-    if red_set(t) != reds:
+    if t.reds != reds:
         raise ValueError("chord set is not realizable as a red set")
     return t
 
@@ -253,28 +213,14 @@ def flip(t: TriangulationB, c: Chord) -> TriangulationB:
 
     A diameter is its own partner and is replaced once.
     """
-    if c not in t.chords:
-        raise ValueError(f"{c} is not a chord of the triangulation")
-    x, y = _apexes(t, c)
-    new_c = chord(x, y)
-    d = chord_partner(c, t.n)
-    new_d = chord_partner(new_c, t.n)
-    chords = set(t.chords)
-    chords.discard(c)
-    chords.discard(d)
-    chords.add(new_c)
-    chords.add(new_d)
-    return TriangulationB(t.n, frozenset(chords))
+    new = chord(*t.apexes(c))
+    gone = {c, chord_partner(c, t.n)}
+    return TriangulationB(t.n, t.chords - gone | {new, chord_partner(new, t.n)})
 
 
 def green_flips(t: TriangulationB) -> set[TriangulationB]:
     """The triangulations obtained from t by flipping one green chord pair."""
     return {flip(t, c) for c in t.chords if color(t, c) == GREEN}
-
-
-def covers_by_flip(s: TriangulationB, t: TriangulationB) -> bool:
-    """True iff t is obtained from s by flipping a green chord pair."""
-    return t in green_flips(s)
 
 
 def bottom(n: int) -> TriangulationB:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tamari
 from tamari import bracket_b as bb
 from tamari import kinds
 from tamari import noncross as nc
@@ -257,7 +258,15 @@ def test_cli_import_does_not_load_numpy():
 def test_finite_poset_still_importable_from_package():
     from tamari import FinitePoset
 
-    assert FinitePoset.build([0, 1], lambda a, b: a <= b).top() == 1
+    po = FinitePoset.build([0, 1], lambda a, b: a <= b)
+    assert po.leq.tolist() == [[True, True], [False, True]]
+
+
+def test_every_export_resolves():
+    """`from tamari import *` binds every name of `tamari.__all__`."""
+    scope: dict = {}
+    exec("from tamari import *", scope)
+    assert all(name in scope for name in tamari.__all__)
 
 
 # -- fuzzing the whole command line ------------------------------------------------

@@ -100,9 +100,10 @@ def test_chord_kind_and_edges():
     assert pg.chord_kind(pg.chord(i("1"), i("3")), n) == "pure-unbarred"
     assert pg.chord_kind(pg.chord(i("-1"), i("-3")), n) == "pure-barred"
     assert pg.chord_kind(pg.chord(i("2"), i("-1")), n) == "mixed"
-    assert pg.is_polygon_edge(pg.chord(i("1"), i("2")), n)
-    assert pg.is_polygon_edge(pg.chord(i("1"), i("-4")), n)
-    assert not pg.is_polygon_edge(pg.chord(i("1"), i("3")), n)
+    m = pg.n_vertices(n)
+    assert pg.is_side(pg.chord(i("1"), i("2")), m)
+    assert pg.is_side(pg.chord(i("1"), i("-4")), m)
+    assert not pg.is_side(pg.chord(i("1"), i("3")), m)
     assert pg.is_diameter(pg.chord(i("2"), i("-2")), n)
 
 

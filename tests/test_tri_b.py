@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from tamari import bracket_b as bb
+from tamari import noncross as nc
 from tamari import polygon as pg
 from tamari import tamari_a as ta
 from tamari import tri_b
@@ -69,7 +70,7 @@ def test_flip_changes_color():
         t = bb.decode(v, 3)
         for c in t.chords:
             u = tri_b.flip(t, c)
-            x, y = tri_b._apexes(t, c)
+            x, y = t.apexes(c)
             assert tri_b.color(u, pg.chord(x, y)) != tri_b.color(t, c)
 
 
@@ -108,14 +109,6 @@ def test_red_set_examples():
     assert tri_b.red_set(fig2) == {
         pg.chord_from_labels(p, 6) for p in (("2", "5"), ("2", "-2"), ("-2", "-5"))
     }
-
-
-def test_red_set_equals_colored_reds(triangulations_by_n):
-    # scan chords plus partners are exactly the coloured-red chords
-    for n, tris in triangulations_by_n.items():
-        for t in tris.values():
-            reds = {c for c in t.chords if tri_b.color(t, c) == tri_b.RED}
-            assert tri_b.red_set(t) == reds
 
 
 def test_green_complete_whole_polygon():
@@ -338,17 +331,45 @@ def test_flip_is_symmetric_involution(triangulations_by_n):
         for t in tris.values():
             for c in t.chords:
                 u = tri_b.flip(t, c)
-                x, y = tri_b._apexes(t, c)
+                x, y = t.apexes(c)
                 assert tri_b.flip(u, pg.chord(x, y)) == t
+
+
+def test_apexes_from_ends_equal_the_vertex_scan():
+    """The apex search from `ends` against the scan it replaced, every vertex
+    joined to both ends by a chord or a side, on every chord of every
+    triangulation: type b for n <= 5 and type a for n <= 6, 6,334 chords."""
+    cases = [bb.decode(v, n) for n in range(1, 6) for v in bb.enumerate_vectors(n)]
+    cases += [ta.decode_a(v, n) for n in range(1, 7) for v in ta.enumerate_a(n)]
+    checked = 0
+    for t in cases:
+        edges = t.edges()
+        for a, b in t.chords:
+            scan = [x for x in range(t.sides) if x not in (a, b)
+                    and pg.chord(a, x) in edges and pg.chord(b, x) in edges]
+            assert t.apexes((a, b)) == tuple(scan), (t, (a, b))
+            checked += 1
+    assert checked == 6334
+
+
+def test_red_set_is_found_once_per_triangulation(monkeypatch):
+    """psi(decode(v)) finds the red set once: `from_red_set` checks it and
+    `noncross.psi` reuses it."""
+    calls = []
+    found = tri_b.red_set
+    monkeypatch.setattr(tri_b, "red_set", lambda t: calls.append(t) or found(t))
+    v = (0, INF, 0, 0, 2, 0)
+    assert nc.psi(bb.decode(v, 6)).n == 6
+    assert len(calls) == 1
 
 
 def test_covers_by_flip(triangulations_by_n):
     tris = triangulations_by_n[3]
     bot = bottom3()
-    ups = [t for t in tris.values() if tri_b.covers_by_flip(bot, t)]
+    ups = [t for t in tris.values() if t in tri_b.green_flips(bot)]
     assert len(ups) == 3
     assert {bb.encode(t) for t in ups} == {(0, 1, 0), (0, 0, 1), (INF, 0, 0)}
-    assert not tri_b.covers_by_flip(bot, bot)
+    assert bot not in tri_b.green_flips(bot)
 
 
 def test_json_round_trip():
