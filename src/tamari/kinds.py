@@ -2,10 +2,10 @@
 
 All three use bracket vectors under the componentwise order and take their
 lattice operations from `bracket_b` at the kind's `width` (n, or n+1 for
-type A), defined once on `Kind`.  A kind binds n
-(and S for BD^S) and owns what differs: parsing outside input (raising only
-ValueError), JSON formatting, enumeration and counting, the geometric
-views, and `suites`, the one record of the verify suites that apply to it.
+type A), defined once on `Kind`.  A kind binds n (and S for BD^S) and
+owns what differs: parsing outside input (raising only ValueError), JSON
+formatting, enumeration and counting, the geometric views, and `suites`,
+the one record of the verify suites that apply to it.
 A command a kind lacks is refused by its own method.  Parsing validates,
 so the operations may call unchecked kernels (`bb._covers`).
 `lattice_kind` is the only place a type name is compared.  Kinds call

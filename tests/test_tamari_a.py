@@ -5,8 +5,8 @@ import pytest
 from tamari import bracket_b as bb
 from tamari import tamari_a as ta
 from tamari import tri_b
-from tamari.polygon import chord
 from tamari.kinds import lattice_kind
+from tamari.polygon import chord
 
 FIG1 = (0, 0, 0, 2, 4)
 

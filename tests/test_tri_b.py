@@ -366,10 +366,11 @@ def test_red_set_is_found_once_per_triangulation(monkeypatch):
 def test_covers_by_flip(triangulations_by_n):
     tris = triangulations_by_n[3]
     bot = bottom3()
-    ups = [t for t in tris.values() if t in tri_b.green_flips(bot)]
+    flips = tri_b.green_flips(bot)
+    ups = [t for t in tris.values() if t in flips]
     assert len(ups) == 3
     assert {bb.encode(t) for t in ups} == {(0, 1, 0), (0, 0, 1), (INF, 0, 0)}
-    assert bot not in tri_b.green_flips(bot)
+    assert bot not in flips
 
 
 def test_json_round_trip():
