@@ -15,10 +15,10 @@ the kernel/closure maps `down` and `up`.
 `tamari.meet`, the per-element steps of the suites) takes this route, at
 any n.  `_up_rows`/`_down_rows` run the same per-coordinate loops on an
 (m, n) float array, one numpy step for all m rows, and `meet_rows`/
-`join_rows` combine one vector with every row: the whole-lattice passes
-(`shelling.op_table`, `verify.suite_congruence`) fill a table row per
-call.  The row form costs O(n^2) numpy calls per call, so it pays only
-when it serves many rows at once.
+`join_rows` pair row k of a (or one vector a) with row k of rows: the
+whole-lattice passes (`shelling.op_table`, `verify.suite_congruence`)
+take a block of pairs per call.  The row form costs O(n^2) numpy calls
+per call, so it pays only when it serves many rows at once.
 
 Validity is decided in O(n log n): condition (i) by the monotonic-stack
 pass `_holds_i`, condition (ii) by one linear scan.  Only a vector that
@@ -423,17 +423,17 @@ def join(a: Vector, b: Vector, n: int) -> Vector:
     return _up([x if x > y else y for x, y in zip(a, b, strict=True)], n)
 
 
-def meet_rows(a: Vector, rows, n: int):
-    """`meet` of a with every row of rows, an (m, n) float array of valid
-    vectors: `_down_rows` on a fresh componentwise-min array."""
+def meet_rows(a, rows, n: int):
+    """`meet` of a, one vector or an array aligned with rows, with each row of
+    rows, an (m, n) float array of valid vectors: `_down_rows` on their min."""
     import numpy as np
 
     return _down_rows(np.minimum(rows, a), n)
 
 
-def join_rows(a: Vector, rows, n: int):
-    """`join` of a with every row of rows, an (m, n) float array of valid
-    vectors: `_up_rows` on a fresh componentwise-max array."""
+def join_rows(a, rows, n: int):
+    """`join` of a with each row of rows, pairwise as `meet_rows`: `_up_rows`
+    on their componentwise max."""
     import numpy as np
 
     return _up_rows(np.maximum(rows, a), n)

@@ -82,7 +82,8 @@ class Kind:
     def join(self, a, b):
         return bb.join(a, b, self.width)
 
-    # the row forms: a against every row of an (m, width) float array of elements
+    # the row forms, pairwise: a (one element, or an array aligned with rows)
+    # against each row of rows, an (m, width) float array of elements
 
     def meet_rows(self, a, rows):
         return bb.meet_rows(a, rows, self.width)

@@ -7,8 +7,8 @@ the poset axioms.  Meets, joins, Mobius values and join irreducibles are
 computed from the order alone, never from bracket-vector formulas.
 `all_meets`/`all_joins` return N x N index tables in element order, with
 -1 where no meet or join exists, found by hashing down-sets (up-sets) as
-packed bit rows; the tests check them against a direct scan.  This module
-must not import the rest of the package.
+packed bit rows, once per unordered pair; the tests check both triangles
+against a direct scan.  This module must not import the rest of the package.
 """
 
 from __future__ import annotations
@@ -151,11 +151,11 @@ def _bound_table(sets: np.ndarray) -> np.ndarray:
 
     Rows are packed into 64-bit words, stored one row per column so that
     the per-row reductions run along the long axis, and hashed to uint64
-    keys, sorted once.  For each row i the keys of all intersections
-    sets[i] & sets[j] are searched at once, and a hit counts only when the
-    packed rows are equal; on a key that several rows share each of them
-    is tried.  The rows are distinct, because the relation is
-    antisymmetric, so at most one matches.
+    keys, sorted once.  For each row i the keys of the intersections
+    sets[i] & sets[j], j >= i, are searched at once, and a hit counts only
+    when the packed rows are equal; on a key that several rows share each
+    of them is tried.  The rows are distinct (the relation is antisymmetric),
+    so at most one matches; as & commutes, [j, i] mirrors [i, j].
     """
     n = len(sets)
     packed = np.packbits(sets, axis=1)
@@ -167,16 +167,17 @@ def _bound_table(sets: np.ndarray) -> np.ndarray:
     ranked = keys[order]
     out = np.full((n, n), -1, dtype=np.int32)
     for i in range(n):
-        inter = words[:, i, None] & words
+        inter = words[:, i, None] & words[:, i:]  # column t is the pair (i, i+t)
         want = _row_keys(inter)
         pos = np.searchsorted(ranked, want)
-        todo = np.arange(n)
+        todo = np.arange(n - i)
         while len(todo):  # a second round only after a key collision
             todo = todo[pos[todo] < n]
             todo = todo[ranked[pos[todo]] == want[todo]]
             k = order[pos[todo]]
             exact = (words.take(k, axis=1) == inter.take(todo, axis=1)).all(axis=0)
-            out[i, todo[exact]] = k[exact]
+            hit = i + todo[exact]
+            out[i, hit] = out[hit, i] = k[exact]
             todo = todo[~exact]
             pos[todo] += 1
     return out

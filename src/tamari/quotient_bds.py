@@ -125,8 +125,8 @@ def _join_s(a, b, s, n: int):
 
 
 def _join_s_rows(a, rows, s, n: int):
-    """`_join_s` of a with every row of rows, an (m, n) float array of
-    members: the type-B row join (`bb.join_rows`), projected."""
+    """`_join_s`, pairwise as `bb.meet_rows`, of a with rows, an (m, n)
+    float array of members: the type-B row join (`bb.join_rows`), projected."""
     return _project_rows(bb.join_rows(a, rows, n), s, n)
 
 

@@ -32,6 +32,9 @@ from . import quotient_bds as q
 
 Label = tuple  # (i, t)
 
+# Pairs per row-form call of `op_table`: the block bounds its working arrays.
+PAIR_BLOCK = 4096
+
 
 def w_vector(n: int, i: int, t):
     """Bracket vector of the join irreducible W_{i,t}."""
@@ -133,8 +136,8 @@ class IndexedLattice(tuple):
     `strict` holds every pair y < z as two index arrays (y-major),
     `covers[i]` the upper covers of i (increasing), `ranks[i]` the rank of
     each one's EL label, and `meets`/`joins` the `op_table`s of the type-B
-    meet, which T_n^S inherits, and of the T_n^S join, filled by their row
-    forms `bb.meet_rows` and `q._join_s_rows`."""
+    meet, which T_n^S inherits, and of the T_n^S join, filled block by
+    block of pairs by their row forms `bb.meet_rows` and `q._join_s_rows`."""
 
     def __new__(cls, n: int, s=frozenset()):
         self = super().__new__(cls, q.elements_tns(n, s))
@@ -175,21 +178,24 @@ def op_table(elems, row_op):
     """N x N index table of a commutative operation, with -2 for a value
     that is not an element.
 
-    row_op(a, rows) is the operation's row form: a against every row of an
-    (m, width) float array.  One call per element a takes a with every
-    element listed from a on, which fills a's row from the diagonal and,
-    mirrored, its column; `RowIndex` names the values.  At most N rows are
-    held at once.
+    row_op(a, rows) is the operation's row form, pairwise: a (one vector,
+    or an array aligned with rows) against each row of rows.  Each pair
+    i <= j is evaluated once, as (elems[i], elems[j]), in row-major blocks
+    of PAIR_BLOCK pairs, one call and one `RowIndex` lookup per block, and
+    written to [i, j] and [j, i]; a block bounds the rows held at once.
     """
     import numpy as np
 
     size = len(elems)
+    pairs = size * (size + 1) // 2
     idx = RowIndex(elems)
     table = np.empty((size, size), np.int16 if size < 2**15 else np.int32)
-    for i, a in enumerate(elems):
-        row = idx.lookup(row_op(a, idx.rows[i:]))
-        table[i, i:] = row
-        table[i:, i] = row
+    starts = np.r_[0, np.arange(size, 1, -1).cumsum()]  # the place of pair (i, i), row-major
+    for lo in range(0, pairs, PAIR_BLOCK):
+        pos = np.arange(lo, min(lo + PAIR_BLOCK, pairs))
+        i = starts.searchsorted(pos, "right") - 1  # the row that holds each pair
+        j = pos - starts[i] + i
+        table[i, j] = table[j, i] = idx.lookup(row_op(idx.rows[i], idx.rows[j]))
     return table
 
 

@@ -73,13 +73,14 @@ def suite_lattice(kind: str, n: int, s=()) -> dict:
     """Poset is a lattice per oracle; formula meet/join match it on all pairs.
 
     The row forms of the formulas fill `shelling.op_table`s after the
-    oracle tables; each value is compared with both oracle entries [a, b]
-    and [b, a], over the upper triangle, and a failure line names the value
-    the row form gives.  `checked` counts those N^2 entries plus the
-    triples of the lattice-algebra pass (types b and bds), which reads the
-    tables and calls the scalar formulas in the other argument order, so
-    it checks commutativity and the scalar against the row form: every
-    triple while N^3 <= 10,000, a seeded sample beyond.
+    oracle tables, each computed on one triangle and mirrored; each value is
+    still compared with both oracle entries [a, b] and [b, a], over the upper
+    triangle, and a failure line names the value the row form gives.
+    `checked` counts those N^2 entries plus the triples of the
+    lattice-algebra pass (types b and bds), which reads the tables and
+    calls the scalar formulas in the other argument order, so it checks
+    commutativity and the scalar against the row form: every triple while
+    N^3 <= 10,000, a seeded sample beyond.
     """
     import numpy as np
 
@@ -260,7 +261,8 @@ def suite_congruence(kind: str, n: int, s=()) -> dict:
     w = project(v) != v, the type-B joins and meets of v and of w with
     every z of T_n^B are row forms, projected and compared per z.  The
     non-sublattice witness is the first pair of T_n^S, row-major, whose
-    type-B join has n-1 at a coordinate in S.
+    type-B join has n-1 at a coordinate in S, searched by row-form blocks
+    of `shelling.PAIR_BLOCK` pairs.
     """
     import numpy as np
 
@@ -288,13 +290,14 @@ def suite_congruence(kind: str, n: int, s=()) -> dict:
     checked += wrong.size
     for i, j in zip(*(x.tolist() for x in wrong.nonzero())):
         failures.append(f"inherited meet wrong at {elems[i]},{elems[j]}")
-    rows = np.array(elems, dtype=float)
+    rows, size = np.array(elems, dtype=float), len(elems)
     in_s = [k - 1 for k in sorted(s)]
     witness = None
-    for a in elems:
-        out = (bb.join_rows(a, rows, n)[:, in_s] == n - 1).any(1)
+    for lo in range(0, size * size, sh.PAIR_BLOCK):  # the ordered pairs, row-major
+        i, j = np.divmod(np.arange(lo, min(lo + sh.PAIR_BLOCK, size * size)), size)
+        out = (bb.join_rows(rows[i], rows[j], n)[:, in_s] == n - 1).any(1)
         if out.any():
-            witness = (a, elems[int(out.argmax())])
+            witness = tuple(elems[x[out.argmax()]] for x in (i, j))
             break
     return _report("congruence", lat, failures, checked, non_sublattice_witness=witness)
 

@@ -69,8 +69,10 @@ def test_bowtie_is_not_a_lattice():
 def test_meet_join_scan_and_bulk_agree():
     po = divisibility([1, 2, 3, 4, 6, 12])
     meets, joins = po.all_meets(), po.all_joins()
+    # one triangle is looked up, the other mirrored: both must hold
+    assert (meets == meets.T).all() and (joins == joins.T).all()
     named = [*po.elements, None]  # index -1, no meet or join, reads as None
-    for i, a in enumerate(po.elements):
+    for i, a in enumerate(po.elements):  # both triangles against the scan
         for j, b in enumerate(po.elements):
             assert scan_bound(po, a, b, join=False) == named[meets[i, j]]
             assert scan_bound(po, a, b, join=True) == named[joins[i, j]]

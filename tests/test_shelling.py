@@ -185,6 +185,48 @@ def test_row_index_names_elements_and_only_elements():
         assert got == [elems.index.get(v, -2) for v in box], n
 
 
+def per_element_table(elems, row_op):
+    """The per-element route: one row-form call per element a, against
+    every element listed from a on, filling a's row and column."""
+    idx = sh.RowIndex(elems)
+    table = np.empty((len(elems), len(elems)), np.int64)
+    for i, a in enumerate(elems):
+        table[i, i:] = table[i:, i] = idx.lookup(row_op(a, idx.rows[i:]))
+    return table
+
+
+OP_TABLE_CASES = [
+    *((kind, n, ()) for kind in ("a", "b") for n in range(1, 6)),
+    *(("bds", n, s) for n in range(1, 5) for s in all_subsets(n) if s),
+    ("b", 6, ()),  # 924 elements, 427,350 pairs: rows span blocks
+]
+
+
+@pytest.mark.parametrize(
+    "kind, n, s", OP_TABLE_CASES, ids=[f"{k}{n}-{sorted(s)}" for k, n, s in OP_TABLE_CASES]
+)
+def test_blocked_op_table_is_the_per_element_route(kind, n, s):
+    lat = lattice_kind(kind, n, s)
+    elems = lat.elements()
+    for row_op in (lat.meet_rows, lat.join_rows):
+        assert (sh.op_table(elems, row_op) == per_element_table(elems, row_op)).all()
+
+
+def test_op_table_evaluates_each_unordered_pair_once_earlier_first():
+    elems = sh.lattice_elements(6, frozenset())
+    size, idx = len(elems), sh.RowIndex(elems)
+    calls = []
+
+    def row_op(a, rows):
+        calls.append(idx.lookup(a) * size + idx.lookup(rows))
+        return bb.meet_rows(a, rows, 6)
+
+    sh.op_table(elems, row_op)
+    assert max(map(len, calls)) == sh.PAIR_BLOCK
+    i, j = np.triu_indices(size)
+    assert np.array_equal(np.concatenate(calls), i * size + j)  # row-major, once each
+
+
 def test_label_rank_is_the_place_among_the_irreducibles():
     for n in range(1, 7):
         for s in all_subsets(n):

@@ -1,6 +1,7 @@
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from conftest import all_subsets
@@ -25,6 +26,12 @@ def test_suite_lattice_all_types():
             assert rep["checked"] == size**2 + triples, (kind, n, s)
 
 
+def pair_mask(x, rows, a, b):
+    """Rows k of a row-form call that pair a with b: the row forms are
+    pairwise, x is one vector or an array aligned with rows."""
+    return (np.asarray(x) == a).all(-1) & (rows == b).all(-1)
+
+
 def test_suite_lattice_reports_a_wrong_meet_against_both_entries(monkeypatch):
     """The row form fills each unordered pair once; its value is compared
     with the oracle's [a, b] and [b, a], also when it is not an element,
@@ -37,8 +44,7 @@ def test_suite_lattice_reports_a_wrong_meet_against_both_entries(monkeypatch):
     for wrong in (elems[-1], (1, 0), (0, 7)):  # another element, then vectors outside T_2^B
         def meet_rows(self, x, rows, wrong=wrong):
             out = true_meet_rows(self, x, rows)
-            if x == a:
-                out[(rows == b).all(1)] = wrong
+            out[pair_mask(x, rows, a, b)] = wrong
             return out
 
         monkeypatch.setattr(TypeB, "meet_rows", meet_rows)
@@ -73,8 +79,7 @@ def test_suite_lattice_failure_lines_go_by_row_then_meet_before_join(monkeypatch
         def bent_rows(self, x, rows, true_rows=true_rows, pairs=pairs):
             out = true_rows(self, x, rows)
             for i, j in pairs:
-                if x == elems[i]:
-                    out[(rows == elems[j]).all(1)] = top
+                out[pair_mask(x, rows, elems[i], elems[j])] = top
             return out
 
         monkeypatch.setattr(TypeB, f"{name}_rows", bent_rows)
@@ -163,8 +168,7 @@ def test_suite_congruence_reports_a_wrong_inherited_meet(monkeypatch, fresh_latt
 
     def wrong(x, rows, n):
         out = meet_rows(x, rows, n)
-        if x == a:
-            out[(rows == b).all(1)] = elems[0]
+        out[pair_mask(x, rows, a, b)] = elems[0]
         return out
 
     monkeypatch.setattr(bb, "meet_rows", wrong)
