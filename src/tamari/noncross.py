@@ -11,8 +11,9 @@ chord has its endpoints nudged together, separating the open range between
 them.  The vertices n+1 and (n+1)bar are erased afterwards.  Which side of
 a cut a surviving vertex lands on never depends on the nudge sizes, and the
 cuts never cross, so one sweep names each cell by the innermost cut that
-holds it (`polygon.innermost_cut`).  `psi_inverse` finds block members by
-position maps and `bisect`.
+holds it (`polygon.innermost_cut`).  `psi_inverse_vector` finds block
+members by position maps and `bisect` and returns the preimage's bracket
+vector; `psi_inverse` decodes it and keeps the full check `psi(t) == p`.
 """
 
 from __future__ import annotations
@@ -84,28 +85,13 @@ def is_symmetric(p: NoncrossingPartitionB) -> bool:
     return bar_blocks(p.blocks) == p.blocks
 
 
-def _blocks_cross(b1, b2, n: int) -> bool:
-    """True iff the two blocks cross on the 2n-point circle: the pair test
-    that the stack pass `_noncrossing_blocks` is checked against."""
-    pos1 = sorted(circle_pos(x, n) for x in b1)
-    pos2 = [circle_pos(x, n) for x in b2]
-    if len(pos1) < 2:
-        return False
-    # b2 must sit inside a single gap of b1 (cyclically)
-    gaps = set()
-    for q in pos2:
-        k = bisect_left(pos1, q)
-        gaps.add(k % len(pos1))
-    return len(gaps) > 1
-
-
 def _noncrossing_blocks(blocks, n: int) -> bool:
     """True iff no two blocks of a partition of the 2n circle points cross.
 
     One pass around the circle with a stack of the blocks opened and not
     yet closed: a block that shows up again while another block is on top
     crosses that one.  A block is popped at its last position.  Equal to
-    `not _blocks_cross(b1, b2, n)` over all pairs, in O(n).
+    the pair test over all pairs of blocks (in the tests), in O(n).
     """
     at = [0] * (2 * n)
     last = [0] * len(blocks)
@@ -159,26 +145,29 @@ def psi(t: TriangulationB) -> NoncrossingPartitionB:
     return NoncrossingPartitionB(n, frozenset(frozenset(b) for b in cells.values()))
 
 
+def _crossing_if_added(target: list[int], blocks) -> bool:
+    """True iff a point q above all placed points, added to `target`, makes
+    it cross another block: b1 < a < b2 < q with b1, b2 in that block and a
+    in target.  One `bisect` per block; the rule is proved at `enumerate_ncb`."""
+    for other in blocks:
+        k = bisect_left(target, other[-1])
+        if k > 0 and target[k - 1] > other[0] and other is not target:
+            return True
+    return False
+
+
 def enumerate_ncb(n: int) -> list[NoncrossingPartitionB]:
     """All symmetric noncrossing partitions, enumerated directly.
 
-    Circle points 0..2n-1 are assigned to blocks in order.  Choices are free
-    for the first half; the bar symmetry forces the block of every point
-    p >= n, so the search only branches on noncrossing partial partitions
-    of n points.
+    Circle points 0..2n-1 are placed in order, so blocks list their points
+    increasing and lie below the new point q: b1 < a < b2 < q holds for
+    some a in target and b1, b2 in `other` iff the last target point below
+    other[-1] lies above other[0] (`_crossing_if_added`).  The bar
+    symmetry forces the block of every point p >= n, so the search only
+    branches on noncrossing partial partitions of the first n points.
     """
     results: list[NoncrossingPartitionB] = []
     blocks: list[list[int]] = []
-
-    def crossing_if_added(q: int, target: list[int]) -> bool:
-        for other in blocks:
-            if other is target:
-                continue
-            # pattern b1 < a < b2 < q with b1, b2 in other, a in target
-            for a in target:
-                if any(b1 < a for b1 in other) and any(a < b2 < q for b2 in other):
-                    return True
-        return False
 
     def point_label(p: int) -> int:
         return p + 1 if p < n else n - p - 1
@@ -195,7 +184,7 @@ def enumerate_ncb(n: int) -> list[NoncrossingPartitionB]:
             return
         if q < n:
             for b in blocks:
-                if not crossing_if_added(q, b):
+                if not _crossing_if_added(b, blocks):
                     b.append(q)
                     rec(q + 1)
                     b.pop()
@@ -212,7 +201,7 @@ def enumerate_ncb(n: int) -> list[NoncrossingPartitionB]:
         known = {(x + n) % (2 * n) for x in pblock if x < p or n <= x < q}
         if known:
             target = next(b for b in blocks if next(iter(known)) in b)
-            if known <= set(target) and not crossing_if_added(q, target):
+            if known <= set(target) and not _crossing_if_added(target, blocks):
                 target.append(q)
                 rec(q + 1)
                 target.pop()
@@ -221,7 +210,7 @@ def enumerate_ncb(n: int) -> list[NoncrossingPartitionB]:
         rec(q + 1)
         blocks.pop()
         for b in list(blocks):
-            if all(p <= x < n for x in b) and not crossing_if_added(q, b):
+            if all(p <= x < n for x in b) and not _crossing_if_added(b, blocks):
                 b.append(q)
                 rec(q + 1)
                 b.pop()
@@ -271,8 +260,8 @@ def _fixed_values(p: NoncrossingPartitionB) -> list:
     return vals
 
 
-def psi_inverse(p: NoncrossingPartitionB) -> TriangulationB:
-    """Reconstruct the triangulation with psi(t) = p.
+def psi_inverse_vector(p: NoncrossingPartitionB) -> tuple:
+    """The bracket vector of the triangulation t with psi(t) = p.
 
     Per-coordinate case analysis on the first vertex v sharing a block
     with i, searching counter-clockwise from i's neighbour:
@@ -293,13 +282,7 @@ def psi_inverse(p: NoncrossingPartitionB) -> TriangulationB:
     inf, then n-1 down to 1 (down to 0 for i = 1) -- that conditions (i)
     and (ii) allow against the coordinates fixed so far (`bb.fits_at`).
     No choice is ever undone, so the whole inverse is polynomial in n.
-
-    No general proof of this largest-legal-value rule is given here.  It
-    rests on exhaustive checks (every element of NC^B_n round-trips for
-    n <= 8; the tests cover n <= 7) and on random elements up to n = 200.
-    The result is therefore still checked in full: the vector must be
-    valid, decode, and map back to p under psi, so a wrong rule raises
-    ValueError instead of answering wrongly.
+    A crossing p or an invalid vector raises ValueError.
     """
     if not is_noncrossing_b(p):
         raise ValueError("input is not a symmetric noncrossing partition")
@@ -316,7 +299,19 @@ def psi_inverse(p: NoncrossingPartitionB) -> TriangulationB:
     vec = tuple(vals)
     if not bb.is_valid(vec, n):
         raise ValueError("partition is not in the image of psi")
-    t = bb.decode(vec, n)
+    return vec
+
+
+def psi_inverse(p: NoncrossingPartitionB) -> TriangulationB:
+    """The triangulation with psi(t) = p: `psi_inverse_vector`, decoded.
+
+    Its largest-legal-value rule has no general proof here; it rests on
+    exhaustive round trips for n <= 8 (the tests cover n <= 7) and random
+    ones up to n = 200.  So the result is still checked in full: the
+    vector must be valid, decode, and map back to p under psi, else
+    ValueError instead of a wrong answer.
+    """
+    t = bb.decode(psi_inverse_vector(p), p.n)
     if psi(t) != p:
         raise ValueError("partition is not in the image of psi")
     return t

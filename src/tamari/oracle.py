@@ -13,6 +13,8 @@ against a direct scan.  This module must not import the rest of the package.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 
@@ -31,8 +33,6 @@ class FinitePoset:
         if self.leq.shape != (n, n):
             raise PosetError(f"relation shape {self.leq.shape} != ({n}, {n})")
         self._validate()
-        lt = self.leq & ~np.eye(n, dtype=bool)
-        self.covers = lt & ~_bool_product(lt, lt)
         self._mobius_rows: dict[int, np.ndarray] = {}
 
     @classmethod
@@ -66,6 +66,12 @@ class FinitePoset:
                 f"not transitive: {self.elements[i]!r} <= {self.elements[k]!r} <= "
                 f"{self.elements[j]!r} but not {self.elements[i]!r} <= {self.elements[j]!r}"
             )
+
+    @cached_property
+    def covers(self) -> np.ndarray:
+        """[i, j] is True iff elements[j] covers elements[i]; computed on first read."""
+        lt = self.leq & ~np.eye(len(self), dtype=bool)
+        return lt & ~_bool_product(lt, lt)
 
     def __len__(self) -> int:
         return len(self.elements)

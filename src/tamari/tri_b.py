@@ -208,14 +208,17 @@ def from_red_set(n: int, reds) -> TriangulationB:
     return t
 
 
-def flip(t: TriangulationB, c: Chord) -> TriangulationB:
-    """Replace the symmetric pair {C, Cbar} by the other diagonals.
-
-    A diameter is its own partner and is replaced once.
-    """
+def flipped_chords(t: TriangulationB, c: Chord) -> frozenset[Chord]:
+    """The chords of t with the pair {C, Cbar} replaced by the other
+    diagonals, unchecked.  A diameter is its own partner and is replaced once."""
     new = chord(*t.apexes(c))
     gone = {c, chord_partner(c, t.n)}
-    return TriangulationB(t.n, t.chords - gone | {new, chord_partner(new, t.n)})
+    return t.chords - gone | {new, chord_partner(new, t.n)}
+
+
+def flip(t: TriangulationB, c: Chord) -> TriangulationB:
+    """The triangulation `flipped_chords(t, c)`, validated."""
+    return TriangulationB(t.n, flipped_chords(t, c))
 
 
 def green_flips(t: TriangulationB) -> set[TriangulationB]:
@@ -228,15 +231,16 @@ def bottom(n: int) -> TriangulationB:
 
 
 def enumerate_triangulations(n: int) -> list[TriangulationB]:
-    """All type-B triangulations, by flip-graph search from the bottom."""
+    """All type-B triangulations, by flip-graph search from the bottom, keyed
+    by chord set: each is built and validated once, when first reached."""
     start = bottom(n)
-    seen = {start}
+    seen = {start.chords: start}
     queue = [start]
     while queue:
         t = queue.pop()
         for c in t.chords:
-            u = flip(t, c)
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return sorted(seen, key=lambda t: t.sorted_chords())
+            chords = flipped_chords(t, c)
+            if chords not in seen:
+                seen[chords] = TriangulationB(n, chords)
+                queue.append(seen[chords])
+    return sorted(seen.values(), key=lambda t: t.sorted_chords())

@@ -164,7 +164,12 @@ def suite_covers(kind: str, n: int, s=()) -> dict:
 
 
 def suite_bijection(kind: str, n: int, s=()) -> dict:
-    """psi is injective with image exactly NC^B_n (restricted by S); inverses compose to id."""
+    """psi is injective with image exactly NC^B_n (restricted by S); inverses compose to id.
+
+    Each v is decoded once, to t, and encode(t) == v is checked.  When
+    `psi_inverse_vector(p)` is the v that psi sent to p, `psi_inverse(p)`
+    would decode that t, whose psi(t) == p the forward loop saw, so it
+    returns t and encode(psi_inverse(p)) == v: the round trip, one decode."""
     lat = _lattice("bijection", kind, n, s)
     failures: list[str] = []
     checked = 0
@@ -182,8 +187,11 @@ def suite_bijection(kind: str, n: int, s=()) -> dict:
     else:  # witness: psi from T_n^S onto the enumerated NC^B partitions that S allows
         images = {}
         for v in vecs:
-            p = nc.psi(bb.decode(v, n))
+            t = bb.decode(v, n)
+            p = nc.psi(t)
             checked += 1
+            if bb.encode(t) != v:
+                failures.append(f"encode(decode(v)) != v at {v}")
             if not nc.is_noncrossing_b(p):
                 failures.append(f"psi({v}) not symmetric noncrossing")
             if p.blocks in images:
@@ -194,7 +202,7 @@ def suite_bijection(kind: str, n: int, s=()) -> dict:
             failures.append("image of psi differs from enumerated NC^B")
         for p in ncb:
             checked += 1
-            if bb.encode(nc.psi_inverse(p)) != images.get(p.blocks):
+            if nc.psi_inverse_vector(p) != images.get(p.blocks):
                 failures.append(f"psi_inverse round trip fails at {p.sorted_blocks()}")
     return _report("bijection", lat, failures, checked)
 

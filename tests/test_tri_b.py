@@ -335,6 +335,34 @@ def test_flip_is_symmetric_involution(triangulations_by_n):
                 assert tri_b.flip(u, pg.chord(x, y)) == t
 
 
+def test_flip_graph_builds_each_decoded_triangulation_once(monkeypatch):
+    """The flip-graph search reaches exactly the chord sets of the decoded
+    vectors, n <= 5, and builds one `TriangulationB` per node.  `flip` still
+    validates `flipped_chords`: a diameter flips to a diameter, and a chord
+    set that is not a triangulation raises."""
+    triangulation = tri_b.TriangulationB
+    for n in range(1, 6):
+        built = []
+        monkeypatch.setattr(
+            tri_b, "TriangulationB", lambda m, chords: built.append(chords) or triangulation(m, chords)
+        )
+        tris = tri_b.enumerate_triangulations(n)
+        monkeypatch.undo()
+        assert len(built) == len(tris) and set(built) == {t.chords for t in tris}
+        assert {t.chords for t in tris} == {bb.decode(v, n).chords for v in bb.enumerate_vectors(n)}
+    diameters = 0
+    for t in tris:
+        for c in t.chords:
+            if pg.is_diameter(c, 5):
+                (new,) = tri_b.flip(t, c).chords - t.chords
+                assert pg.is_diameter(new, 5)
+                diameters += 1
+    assert diameters == len(tris)
+    monkeypatch.setattr(tri_b, "flipped_chords", lambda t, c: t.chords - {c})
+    with pytest.raises(ValueError, match="expected 9 chords, got 8"):
+        tri_b.flip(t, c)
+
+
 def test_apexes_from_ends_equal_the_vertex_scan():
     """The apex search from `ends` against the scan it replaced, every vertex
     joined to both ends by a chord or a side, on every chord of every

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import all_subsets
 from tamari import bracket_b as bb
+from tamari import noncross as nc
 from tamari import quotient_bds as q
 from tamari import shelling as sh
 from tamari import verify as vfy
@@ -197,6 +198,31 @@ def test_suite_bijection_restricts_to_tns():
             rep = vfy.suite_bijection("bds", n, s)
             assert rep["passed"], (n, s, rep["failures"][:1])
             assert rep["checked"] == 2 * len(q.elements_tns(n, s))
+
+
+def test_suite_bijection_reports_a_wrong_inverse_vector(monkeypatch):
+    """The inverse loop compares `psi_inverse_vector` with the forward
+    image: one wrong vector gives one round-trip line, same `checked`."""
+    bad = nc.enumerate_ncb(3)[5]
+    inverse = nc.psi_inverse_vector
+    monkeypatch.setattr(
+        nc, "psi_inverse_vector", lambda p: (0, 0, 0) if p == bad else inverse(p)
+    )
+    assert inverse(bad) != (0, 0, 0)
+    rep = vfy.suite_bijection("b", 3)
+    assert rep["failures"] == [f"psi_inverse round trip fails at {bad.sorted_blocks()}"]
+    assert rep["checked"] == 40
+
+
+def test_suite_bijection_reports_a_wrong_encode(monkeypatch):
+    """encode(decode(v)) == v is checked in the forward loop, which the
+    slimmer inverse loop relies on: a wrong encode is named there."""
+    v = bb.enumerate_vectors(3)[7]
+    encode = bb.encode
+    monkeypatch.setattr(bb, "encode", lambda t: (0, 0, 0) if encode(t) == v else encode(t))
+    rep = vfy.suite_bijection("b", 3)
+    assert rep["failures"] == [f"encode(decode(v)) != v at {v}"]
+    assert rep["checked"] == 40
 
 
 def test_suite_congruence_reports_erratum():
