@@ -151,7 +151,7 @@ def _crossing_if_added(target: list[int], blocks) -> bool:
     in target.  One `bisect` per block; the rule is proved at `enumerate_ncb`."""
     for other in blocks:
         k = bisect_left(target, other[-1])
-        if k > 0 and target[k - 1] > other[0] and other is not target:
+        if other is not target and k > 0 and target[k - 1] > other[0]:
             return True
     return False
 
