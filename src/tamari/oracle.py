@@ -4,11 +4,11 @@ Elements are opaque keys; the only input is the order relation, as a dense
 boolean matrix (`FinitePoset(elements, matrix)`) or as a leq predicate that
 `FinitePoset.build` materializes into one.  Every matrix is checked against
 the poset axioms.  Meets, joins, Mobius values and join irreducibles are
-computed from the order alone, never from bracket-vector formulas.
-`all_meets`/`all_joins` return N x N index tables in element order, with
--1 where no meet or join exists, found by hashing down-sets (up-sets) as
-packed bit rows, once per unordered pair; the tests check both triangles
-against a direct scan.  This module must not import the rest of the package.
+computed from the order alone, never from bracket-vector formulas, on one
+representation: down-sets (up-sets) packed into uint64 words, row by row.
+`all_meets`/`all_joins` return N x N index tables, -1 where no meet or
+join exists, one unordered pair at a time (`pair_blocks`, which the other
+whole-lattice passes walk too).  This module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -16,6 +16,9 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+
+# Pairs per block of `pair_blocks`: the block bounds the working arrays of a pass.
+PAIR_BLOCK = 4096
 
 
 class PosetError(ValueError):
@@ -50,17 +53,19 @@ class FinitePoset:
         for i in range(n):
             if not self.leq[i, i]:
                 raise PosetError(f"not reflexive at {self.elements[i]!r}")
-        both = self.leq & self.leq.T
-        for i, j in zip(*np.nonzero(both)):
-            if i != j:
-                raise PosetError(
-                    f"not antisymmetric: {self.elements[i]!r} and {self.elements[j]!r}"
-                )
-        closure = _bool_product(self.leq, self.leq)
-        bad = closure & ~self.leq
-        idx = np.argwhere(bad)
-        if len(idx):
-            i, j = idx[0]
+        lt = self.leq & ~np.eye(n, dtype=bool)
+        both = np.argwhere(lt & lt.T)
+        if len(both):
+            i, j = both[0]
+            raise PosetError(f"not antisymmetric: {self.elements[i]!r} and {self.elements[j]!r}")
+        down = _pack(lt.T)  # strict down-sets
+        deep = np.zeros_like(down)  # deep[x]: every k < y for some y < x
+        for x, below in enumerate(lt.T):
+            deep[x] = np.bitwise_or.reduce(down[below], axis=0)
+        self._hasse = down & ~deep  # bit i of row j: j covers i
+        bad = deep & ~down
+        if bad.any():
+            i, j = np.argwhere(_unpack(bad, n).T)[0]
             k = next(k for k in range(n) if self.leq[i, k] and self.leq[k, j])
             raise PosetError(
                 f"not transitive: {self.elements[i]!r} <= {self.elements[k]!r} <= "
@@ -70,8 +75,7 @@ class FinitePoset:
     @cached_property
     def covers(self) -> np.ndarray:
         """[i, j] is True iff elements[j] covers elements[i]; computed on first read."""
-        lt = self.leq & ~np.eye(len(self), dtype=bool)
-        return lt & ~_bool_product(lt, lt)
+        return _unpack(self._hasse, len(self)).T
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -118,11 +122,7 @@ class FinitePoset:
         least one strictly smaller element that is not the join of two
         strictly smaller ones.
         """
-        by_covers = {
-            self.elements[j]
-            for j in range(len(self))
-            if int(self.covers[:, j].sum()) == 1
-        }
+        by_covers = {self.elements[j] for j in np.flatnonzero(self.covers.sum(axis=0) == 1)}
         joins = self.all_joins()
         by_joins = set()
         for j, e in enumerate(self.elements):
@@ -135,55 +135,56 @@ class FinitePoset:
         return by_covers
 
 
-def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean matrix product, as a float32 BLAS product: exact, since every
-    entry counts at most N < 2**24 terms."""
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """(N, W) little-endian uint64 words of an N x M bool array: column c
+    is bit c % 64 of word c // 64.  Row-major, so a pair block gathers
+    contiguous rows."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))  # whole words
+    return np.ascontiguousarray(packed).view("<u8")
 
 
-# Fixed odd multiplier of the row hash (the 64-bit golden ratio).
-_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+def _unpack(words: np.ndarray, m: int) -> np.ndarray:
+    """The N x m bool array that `_pack` packed into words."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=m, bitorder="little").view(bool)
 
 
-def _row_keys(words: np.ndarray) -> np.ndarray:
-    """One uint64 key per column of 64-bit words, the polynomial hash
-    sum_w words[w] * M^(w+1) mod 2^64.  Distinct columns may share a key."""
-    powers = np.cumprod(np.full(len(words), _HASH_MULT), dtype=np.uint64)
-    return powers @ words
+def pair_blocks(size: int):
+    """Yield (i, j) index arrays of the unordered pairs i <= j < size, in
+    row-major order, PAIR_BLOCK pairs at a time; a block bounds the rows a
+    caller gathers at once."""
+    pairs = size * (size + 1) // 2
+    starts = np.r_[0, np.arange(size, 1, -1).cumsum()]  # the place of pair (i, i), row-major
+    for lo in range(0, pairs, PAIR_BLOCK):
+        pos = np.arange(lo, min(lo + PAIR_BLOCK, pairs))
+        i = starts.searchsorted(pos, "right") - 1  # the row that holds each pair
+        yield i, pos - starts[i] + i
 
 
 def _bound_table(sets: np.ndarray) -> np.ndarray:
     """[i, j] = the k whose row sets[k] equals sets[i] & sets[j], else -1.
 
-    Rows are packed into 64-bit words, stored one row per column so that
-    the per-row reductions run along the long axis, and hashed to uint64
-    keys, sorted once.  For each row i the keys of the intersections
-    sets[i] & sets[j], j >= i, are searched at once, and a hit counts only
-    when the packed rows are equal; on a key that several rows share each
-    of them is tried.  The rows are distinct (the relation is antisymmetric),
-    so at most one matches; as & commutes, [j, i] mirrors [i, j].
+    The rows are ideals (filters), so every k in the intersection of two
+    rows has its own row inside it: only the k with the largest row can
+    equal it, and by antisymmetry (rows are distinct) at most one does.
+    The columns are packed by decreasing row size (a stable argsort), so
+    the lowest set bit of an intersection is a largest-row k, the candidate,
+    and it is the bound exactly when its row size equals the popcount of
+    the intersection (an empty one has popcount 0, below every row size).
+    The lowest bit of the first nonzero word is isolated as x & -x, a power
+    of two, which float64 holds exactly, for `np.frexp`.  Each block of
+    `pair_blocks` fills [i, j] and [j, i].
     """
     n = len(sets)
-    packed = np.packbits(sets, axis=1)
-    words = np.zeros((n, -(-packed.shape[1] // 8)), dtype=np.uint64)
-    words.view(np.uint8)[:, : packed.shape[1]] = packed
-    words = np.ascontiguousarray(words.T)
-    keys = _row_keys(words)
-    order = np.argsort(keys)
-    ranked = keys[order]
-    out = np.full((n, n), -1, dtype=np.int32)
-    for i in range(n):
-        inter = words[:, i, None] & words[:, i:]  # column t is the pair (i, i+t)
-        want = _row_keys(inter)
-        pos = np.searchsorted(ranked, want)
-        todo = np.arange(n - i)
-        while len(todo):  # a second round only after a key collision
-            todo = todo[pos[todo] < n]
-            todo = todo[ranked[pos[todo]] == want[todo]]
-            k = order[pos[todo]]
-            exact = (words.take(k, axis=1) == inter.take(todo, axis=1)).all(axis=0)
-            hit = i + todo[exact]
-            out[i, hit] = out[hit, i] = k[exact]
-            todo = todo[~exact]
-            pos[todo] += 1
+    size = sets.sum(axis=1)
+    rank = np.argsort(-size, kind="stable")  # bit b stands for element rank[b]
+    words = _pack(sets[:, rank])
+    out = np.empty((n, n), dtype=np.int32)
+    for i, j in pair_blocks(n):
+        inter = words[i] & words[j]
+        w = (inter != 0).argmax(axis=1)  # the first nonzero word, or 0
+        first = inter[np.arange(len(w)), w]
+        k = rank[w * 64 + np.frexp(first & -first)[1] - 1]
+        found = size[k] == np.bitwise_count(inter).sum(axis=1)
+        out[i, j] = out[j, i] = np.where(found, k, -1)
     return out

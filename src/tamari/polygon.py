@@ -84,11 +84,6 @@ def is_side(c: Chord, m: int) -> bool:
     return (b - a) % m in (1, m - 1)
 
 
-def is_diameter(c: Chord, n: int) -> bool:
-    a, b = c
-    return b - a == n + 1
-
-
 def chord_kind(c: Chord, n: int) -> str:
     """One of "pure-unbarred", "pure-barred", "mixed"."""
     a, b = c

@@ -13,12 +13,12 @@ but not with meet, so it is not a lattice congruence (README "Known
 erratum").  T_n^S is still a lattice: it is closed under the type-B meet,
 which it inherits, and its join is the projection of the type-B join.
 
-Each operation is a membership check of its operands plus a kernel
-(`_join_s`, ...) that checks nothing and is defined only on members of
-T_n^S; the kernel of `meet_s` is the type-B `meet`.  Callers that already
-hold members (the enumerated lattice, the CLI after parsing) call the
-kernels.  `_join_s_rows` is the row form of `_join_s`, for the
-whole-lattice passes (`bracket_b` explains the two forms).
+The operations are kernels (`_join_s`, ...) that check nothing and are
+defined only on members of T_n^S; the meet is the type-B `meet`.  Callers
+hold members (the enumerated lattice, the CLI after parsing, which runs
+`check_member`) and call the kernels; `covers_s` is `check_member` on
+both operands plus `_covers_s`.  `_join_s_rows` is the row form of
+`_join_s`, for the whole-lattice passes (`bracket_b` explains the two forms).
 """
 
 from __future__ import annotations
@@ -106,21 +106,8 @@ def check_member(v, s, n: int) -> None:
         raise ValueError(f"{v} is not in T_n^S for s={sorted(s)}")
 
 
-def meet_s(a, b, s, n: int):
-    """Meet in T_n^S: inherited from T_n^B, which T_n^S is closed under."""
-    check_member(a, s, n)
-    check_member(b, s, n)
-    return bb.meet(a, b, n)
-
-
-def join_s(a, b, s, n: int):
-    """Join in T_n^S: the projection of the type-B join."""
-    check_member(a, s, n)
-    check_member(b, s, n)
-    return _join_s(a, b, s, n)
-
-
 def _join_s(a, b, s, n: int):
+    """Join in T_n^S, of members: the projection of the type-B join."""
     return _project(bb.join(a, b, n), s, n)
 
 
@@ -158,11 +145,6 @@ def _covers_s(a, b, s, n: int) -> bool:
     return nxt is None or nxt >= min(b[k], _top(n, s, k))
 
 
-def upper_covers_s(v, s, n: int) -> list:
-    """Upward covers in T_n^S: project the type-B cover at each coordinate."""
-    check_member(v, s, n)
-    return _upper_covers_s(v, s, n)
-
-
 def _upper_covers_s(v, s, n: int) -> list:
+    """Upward covers in T_n^S of a member: project the type-B cover at each coordinate."""
     return sorted({_project(w, s, n) for w in bb.upper_covers(v, n)})

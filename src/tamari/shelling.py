@@ -32,9 +32,6 @@ from . import quotient_bds as q
 
 Label = tuple  # (i, t)
 
-# Pairs per row-form call of `op_table`: the block bounds its working arrays.
-PAIR_BLOCK = 4096
-
 
 def w_vector(n: int, i: int, t):
     """Bracket vector of the join irreducible W_{i,t}."""
@@ -86,11 +83,13 @@ def left_modular_chain(n: int, s=frozenset()) -> list[tuple]:
 
 
 def order_matrix(elems):
-    """Read-only N x N bool matrix: [i, j] when elems[i] <= elems[j] componentwise."""
+    """Read-only N x N bool matrix: [i, j] when elems[i] <= elems[j] at every coordinate."""
     import numpy as np
 
     a = np.array(elems, dtype=float)  # inf stays inf
-    order = (a[:, None, :] <= a[None, :, :]).all(-1)
+    order = np.ones((len(a), len(a)), dtype=bool)
+    for col in a.T:
+        order &= col[:, None] <= col
     order.flags.writeable = False  # shared by every reader of the cached lattice
     return order
 
@@ -180,21 +179,18 @@ def op_table(elems, row_op):
 
     row_op(a, rows) is the operation's row form, pairwise: a (one vector,
     or an array aligned with rows) against each row of rows.  Each pair
-    i <= j is evaluated once, as (elems[i], elems[j]), in row-major blocks
-    of PAIR_BLOCK pairs, one call and one `RowIndex` lookup per block, and
-    written to [i, j] and [j, i]; a block bounds the rows held at once.
+    i <= j is evaluated once, as (elems[i], elems[j]), block by block of
+    `oracle.pair_blocks`, one call and one `RowIndex` lookup per block, and
+    written to [i, j] and [j, i].
     """
     import numpy as np
 
+    from .oracle import pair_blocks  # numpy loads only once a table is built
+
     size = len(elems)
-    pairs = size * (size + 1) // 2
     idx = RowIndex(elems)
     table = np.empty((size, size), np.int16 if size < 2**15 else np.int32)
-    starts = np.r_[0, np.arange(size, 1, -1).cumsum()]  # the place of pair (i, i), row-major
-    for lo in range(0, pairs, PAIR_BLOCK):
-        pos = np.arange(lo, min(lo + PAIR_BLOCK, pairs))
-        i = starts.searchsorted(pos, "right") - 1  # the row that holds each pair
-        j = pos - starts[i] + i
+    for i, j in pair_blocks(size):
         table[i, j] = table[j, i] = idx.lookup(row_op(idx.rows[i], idx.rows[j]))
     return table
 

@@ -76,10 +76,6 @@ def validate_a(v: Vector, n: int):
     return bb.violation(v, n + 1)
 
 
-def is_valid_a(v: Vector, n: int) -> bool:
-    return validate_a(v, n) is None
-
-
 def enumerate_a(n: int) -> list[Vector]:
     """All valid vectors, lexicographically: type-B (n+1)-vectors with r_i <= i-1."""
     return list(bb.vectors_with(n + 1, [range(k + 1) for k in range(n + 1)]))

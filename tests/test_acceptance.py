@@ -153,7 +153,8 @@ def test_criterion_9_join_irreducibles():
                 acc = elems[0]  # bottom of T^S in sorted order
                 for _, w in sh.join_irreducibles(n, s):
                     if bb.leq(w, v):
-                        acc = q.join_s(acc, w, s, n)
+                        q.check_member(w, s, n)
+                        acc = q._join_s(acc, w, s, n)
                 ok &= acc == v
     assert report(9, ok, "oracle join irreducibles == W_{i,t} families; joins regenerate, n <= 4")
 
@@ -245,7 +246,7 @@ def test_criterion_11_type_a():
         ok &= passed(suite, [("a", n, ()) for n in range(1, 6)])
     for n in range(1, 6):
         vecs = ta.enumerate_a(n)
-        ok &= all(ta.is_valid_a(tuple(map(min, a, b)), n) for a in vecs for b in vecs)
+        ok &= all(ta.validate_a(tuple(map(min, a, b)), n) is None for a in vecs for b in vecs)
     assert report(
         11,
         ok,

@@ -75,7 +75,7 @@ def test_enumerators_equal_filtered_products():
         for s in all_subsets(n):
             assert q.elements_tns(n, s) == [v for v in valid if q.vector_in_tns(v, n, s)]
         boxes = itertools.product(range(n + 1), repeat=n + 1)
-        assert ta.enumerate_a(n) == [v for v in boxes if ta.is_valid_a(v, n)]
+        assert ta.enumerate_a(n) == [v for v in boxes if ta.validate_a(v, n) is None]
 
 
 def test_encode_decode_bijection(vectors_by_n, triangulations_by_n):

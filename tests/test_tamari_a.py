@@ -49,7 +49,7 @@ def test_fan_vectors():
 
 
 def test_validate_examples():
-    assert ta.is_valid_a(FIG1, 4)
+    assert ta.validate_a(FIG1, 4) is None
     assert ta.validate_a((0, 2, 0, 0, 0), 4) == ("ii", 2)
     assert ta.validate_a((0, 1, 1, 0, 0), 4) == ("i", (2, 3))
 
@@ -87,7 +87,7 @@ def test_fits_at_is_the_type_a_check_at_size_n_plus_1():
             for k in range(n + 1):
                 for x in range(k + 1):
                     w = v[:k] + (x,) + v[k + 1 :]
-                    assert bb.fits_at(v, n + 1, k, x) == ta.is_valid_a(w, n)
+                    assert bb.fits_at(v, n + 1, k, x) == (ta.validate_a(w, n) is None)
 
 
 def test_green_complete_is_the_fan_on_one_run():

@@ -1,15 +1,19 @@
 import gc
+import json
 import weakref
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 
 from conftest import all_subsets
 from tamari import bracket_b as bb
+from tamari import cli
 from tamari import noncross as nc
 from tamari import quotient_bds as q
 from tamari import shelling as sh
 from tamari import verify as vfy
+from tamari.bracket_b import INF
 from tamari.kinds import TypeA, TypeB, TypeBDS, lattice_kind
 from tamari.oracle import FinitePoset
 
@@ -223,6 +227,49 @@ def test_suite_bijection_reports_a_wrong_encode(monkeypatch):
     rep = vfy.suite_bijection("b", 3)
     assert rep["failures"] == [f"encode(decode(v)) != v at {v}"]
     assert rep["checked"] == 40
+
+
+def verify_cli(capsys, *argv):
+    code = cli.main(["verify", *argv])
+    out, err = capsys.readouterr()
+    return code, json.loads(out), err
+
+
+def test_suite_bijection_reports_a_partition_psi_inverse_refuses(monkeypatch, capsys):
+    """A wrong NC^B enumerator (the crossing rule bisecting at other[0]
+    for other[-1]) lists crossing partitions: the inverse loop records
+    each refusal, and the CLI exits 2 with the report, not 1 with `error:`."""
+
+    def mutant(target, blocks):
+        for other in blocks:
+            k = bisect_left(target, other[0])
+            if other is not target and k > 0 and target[k - 1] > other[0]:
+                return True
+        return False
+
+    monkeypatch.setattr(nc, "_crossing_if_added", mutant)
+    code, rep, err = verify_cli(capsys, "bijection", "--type", "b", "--n", "2")
+    assert code == 2 and err == "" and not rep["passed"]
+    assert rep["failures"] == [
+        "image of psi differs from enumerated NC^B",
+        "psi_inverse refuses [[1, -1], [2, -2]]: input is not a symmetric noncrossing partition",
+    ]
+
+
+def test_suite_congruence_reports_a_projection_that_leaves_the_lattice(monkeypatch, capsys):
+    """A broken row projection (n-2 in place of n-1 raised to inf) is a
+    failure line of the report, not an AssertionError out of the CLI."""
+
+    def broken(g, s, n):
+        for k in s:
+            col = g[:, k - 1]
+            col[col == n - 2] = INF
+        return g
+
+    monkeypatch.setattr(q, "_project_rows", broken)
+    code, rep, err = verify_cli(capsys, "congruence", "--type", "bds", "--n", "2", "--s", "1")
+    assert code == 2 and err == "" and not rep["passed"]
+    assert rep["failures"][:2] == ["projection of (0, 1) left the lattice: (inf, 1)"] * 2
 
 
 def test_suite_congruence_reports_erratum():
