@@ -286,6 +286,11 @@ def psi_inverse_vector(p: NoncrossingPartitionB) -> tuple:
     """
     if not is_noncrossing_b(p):
         raise ValueError("input is not a symmetric noncrossing partition")
+    return _psi_inverse_vector(p)
+
+
+def _psi_inverse_vector(p: NoncrossingPartitionB) -> tuple:
+    """`psi_inverse_vector` for a p already known to be in NC^B."""
     n = p.n
     vals = _fixed_values(p)
     for i in [i for i in range(1, n + 1) if vals[i - 1] is None]:

@@ -6,10 +6,10 @@ boolean matrix (`FinitePoset(elements, matrix)`) or as a leq predicate that
 the poset axioms.  Meets, joins, Mobius values and join irreducibles are
 computed from the order alone, never from bracket-vector formulas, on one
 representation: down-sets (up-sets) packed into uint64 words, row by row.
-`all_meets`/`all_joins` return N x N index tables, -1 where no meet or
-join exists, one unordered pair at a time (`pair_blocks`, which the other
-whole-lattice passes walk too).  This module imports nothing from the package.
-"""
+`meets_of`/`joins_of` answer a block of pairs, -1 where no meet or join
+exists, so a caller can check each answer as it is made; `all_meets`/
+`all_joins` fill N x N tables from them along `pair_blocks`, the one pair
+walk of the package.  This module imports nothing from the package."""
 
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ class FinitePoset:
             raise PosetError(f"relation shape {self.leq.shape} != ({n}, {n})")
         self._validate()
         self._mobius_rows: dict[int, np.ndarray] = {}
+        self._ranked: dict[bool, tuple] = {}  # per side, the packed rows of `_bounds`
 
     @classmethod
     def build(cls, elements, leq_predicate) -> "FinitePoset":
@@ -80,15 +81,51 @@ class FinitePoset:
     def __len__(self) -> int:
         return len(self.elements)
 
+    def meets_of(self, i, j) -> np.ndarray:
+        """Meets of elements i[m], j[m]: the one whose down-set is their intersection, or -1."""
+        return self._bounds(False, i, j)
+
+    def joins_of(self, i, j) -> np.ndarray:
+        """The joins of elements i[m] and j[m], as `meets_of`, by up-sets."""
+        return self._bounds(True, i, j)
+
     def all_meets(self) -> np.ndarray:
-        """Index table of all meets: [i, j] is the index of the meet of
-        elements i and j, or -1.  The meet is the element whose down-set
-        equals the intersection of theirs."""
-        return _bound_table(self.leq.T)
+        """N x N table of `meets_of`, each unordered pair answered once."""
+        return self._table(self.meets_of)
 
     def all_joins(self) -> np.ndarray:
-        """Index table of all joins, as `all_meets`, by up-sets."""
-        return _bound_table(self.leq)
+        """N x N table of `joins_of`, as `all_meets`."""
+        return self._table(self.joins_of)
+
+    def _table(self, bounds_of) -> np.ndarray:
+        n = len(self)
+        out = np.empty((n, n), index_dtype(n))
+        for i, j in pair_blocks(n):
+            out[i, j] = out[j, i] = bounds_of(i, j)
+        return out
+
+    def _bounds(self, up: bool, i, j) -> np.ndarray:
+        """The k whose row equals row i[m] & row j[m] of the up-sets (down-sets), else -1.
+
+        The rows are ideals (filters), so only the largest-row k in an
+        intersection can have it as its row, and by antisymmetry at most one
+        does.  The columns are packed once, by decreasing row size (a stable
+        argsort): the lowest set bit of an intersection, isolated as x & -x
+        (a power of two that float64 holds exactly, for `np.frexp`), is that
+        k, and it is the bound iff its row size equals the intersection's
+        popcount (0 when empty).  The AND commutes: (i, j) and (j, i) agree.
+        """
+        if up not in self._ranked:
+            sets = self.leq if up else self.leq.T
+            size = sets.sum(axis=1)
+            rank = np.argsort(-size, kind="stable")  # bit b stands for element rank[b]
+            self._ranked[up] = size, rank, _pack(sets[:, rank])
+        size, rank, words = self._ranked[up]
+        inter = words[i] & words[j]
+        w = (inter != 0).argmax(axis=1)  # the first nonzero word, or 0
+        first = inter[np.arange(len(w)), w]
+        k = rank[w * 64 + np.frexp(first & -first)[1] - 1]
+        return np.where(size[k] == np.bitwise_count(inter).sum(axis=1), k, -1)
 
     def _mobius_row(self, i: int) -> np.ndarray:
         """mu(elements[i], -) by the standard recursion, in one sweep."""
@@ -161,30 +198,6 @@ def pair_blocks(size: int):
         yield i, pos - starts[i] + i
 
 
-def _bound_table(sets: np.ndarray) -> np.ndarray:
-    """[i, j] = the k whose row sets[k] equals sets[i] & sets[j], else -1.
-
-    The rows are ideals (filters), so every k in the intersection of two
-    rows has its own row inside it: only the k with the largest row can
-    equal it, and by antisymmetry (rows are distinct) at most one does.
-    The columns are packed by decreasing row size (a stable argsort), so
-    the lowest set bit of an intersection is a largest-row k, the candidate,
-    and it is the bound exactly when its row size equals the popcount of
-    the intersection (an empty one has popcount 0, below every row size).
-    The lowest bit of the first nonzero word is isolated as x & -x, a power
-    of two, which float64 holds exactly, for `np.frexp`.  Each block of
-    `pair_blocks` fills [i, j] and [j, i].
-    """
-    n = len(sets)
-    size = sets.sum(axis=1)
-    rank = np.argsort(-size, kind="stable")  # bit b stands for element rank[b]
-    words = _pack(sets[:, rank])
-    out = np.empty((n, n), dtype=np.int32)
-    for i, j in pair_blocks(n):
-        inter = words[i] & words[j]
-        w = (inter != 0).argmax(axis=1)  # the first nonzero word, or 0
-        first = inter[np.arange(len(w)), w]
-        k = rank[w * 64 + np.frexp(first & -first)[1] - 1]
-        found = size[k] == np.bitwise_count(inter).sum(axis=1)
-        out[i, j] = out[j, i] = np.where(found, k, -1)
-    return out
+def index_dtype(size: int):
+    """The integer type of an N x N index table: int16 while it holds every index."""
+    return np.int16 if size < 2**15 else np.int32

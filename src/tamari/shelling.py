@@ -134,7 +134,7 @@ class IndexedLattice(tuple):
     `index` maps elements to indices, `order` is the `order_matrix`,
     `strict` holds every pair y < z as two index arrays (y-major),
     `covers[i]` the upper covers of i (increasing), `ranks[i]` the rank of
-    each one's EL label, and `meets`/`joins` the `op_table`s of the type-B
+    each one's EL label, and `meets`/`joins` the `op_tables` of the type-B
     meet, which T_n^S inherits, and of the T_n^S join, filled block by
     block of pairs by their row forms `bb.meet_rows` and `q._join_s_rows`."""
 
@@ -163,36 +163,40 @@ class IndexedLattice(tuple):
 
     @cached_property
     def meets(self):
-        return op_table(self, lambda a, rows: bb.meet_rows(a, rows, self.n))
+        return op_tables(self, {"meet": lambda a, rows: bb.meet_rows(a, rows, self.n)})["meet"]
 
     @cached_property
     def joins(self):
-        return op_table(self, lambda a, rows: q._join_s_rows(a, rows, self.s, self.n))
+        ops = {"join": lambda a, rows: q._join_s_rows(a, rows, self.s, self.n)}
+        return op_tables(self, ops)["join"]
 
 
 lattice_elements = lru_cache(maxsize=None)(IndexedLattice)  # one per (n, s)
 
 
-def op_table(elems, row_op):
-    """N x N index table of a commutative operation, with -2 for a value
-    that is not an element.
+def op_tables(elems, row_ops: dict, each_block=lambda i, j, values: None) -> dict:
+    """N x N index tables of commutative operations, one per name, -2
+    for a value that is not an element.
 
-    row_op(a, rows) is the operation's row form, pairwise: a (one vector,
-    or an array aligned with rows) against each row of rows.  Each pair
-    i <= j is evaluated once, as (elems[i], elems[j]), block by block of
-    `oracle.pair_blocks`, one call and one `RowIndex` lookup per block, and
-    written to [i, j] and [j, i].
+    row_ops[name](a, rows) is a row form, pairwise: a (one vector, or an
+    array aligned with rows) against each row of rows.  One walk of
+    `oracle.pair_blocks` evaluates each pair i <= j once, as (elems[i],
+    elems[j]), one call and one `RowIndex` lookup per block and operation,
+    writes [i, j] and [j, i], then hands each_block(i, j, {name: values}).
     """
     import numpy as np
 
-    from .oracle import pair_blocks  # numpy loads only once a table is built
+    from .oracle import index_dtype, pair_blocks  # numpy loads only once a table is built
 
     size = len(elems)
     idx = RowIndex(elems)
-    table = np.empty((size, size), np.int16 if size < 2**15 else np.int32)
+    tables = {name: np.empty((size, size), index_dtype(size)) for name in row_ops}
     for i, j in pair_blocks(size):
-        table[i, j] = table[j, i] = idx.lookup(row_op(idx.rows[i], idx.rows[j]))
-    return table
+        values = {name: idx.lookup(op(idx.rows[i], idx.rows[j])) for name, op in row_ops.items()}
+        for name, got in values.items():
+            tables[name][i, j] = tables[name][j, i] = got
+        each_block(i, j, values)
+    return tables
 
 
 def is_left_modular(x, n: int, s=frozenset()) -> bool:

@@ -208,8 +208,10 @@ OP_TABLE_CASES = [
 def test_blocked_op_table_is_the_per_element_route(kind, n, s):
     lat = lattice_kind(kind, n, s)
     elems = lat.elements()
-    for row_op in (lat.meet_rows, lat.join_rows):
-        assert (sh.op_table(elems, row_op) == per_element_table(elems, row_op)).all()
+    row_ops = {"meet": lat.meet_rows, "join": lat.join_rows}
+    tables = sh.op_tables(elems, row_ops)  # one walk fills both
+    for name, row_op in row_ops.items():
+        assert (tables[name] == per_element_table(elems, row_op)).all()
 
 
 def test_op_table_evaluates_each_unordered_pair_once_earlier_first():
@@ -221,10 +223,14 @@ def test_op_table_evaluates_each_unordered_pair_once_earlier_first():
         calls.append(idx.lookup(a) * size + idx.lookup(rows))
         return bb.meet_rows(a, rows, 6)
 
-    sh.op_table(elems, row_op)
+    blocks = []
+    tables = sh.op_tables(elems, {"meet": row_op}, lambda i, j, got: blocks.append((i, j, got)))
     assert max(map(len, calls)) == PAIR_BLOCK
     i, j = np.triu_indices(size)
     assert np.array_equal(np.concatenate(calls), i * size + j)  # row-major, once each
+    # each block reaches the caller with its pairs and the values written for them
+    assert np.array_equal(np.concatenate([bi * size + bj for bi, bj, _ in blocks]), i * size + j)
+    assert all(np.array_equal(tables["meet"][bi, bj], got["meet"]) for bi, bj, got in blocks)
 
 
 def test_label_rank_is_the_place_among_the_irreducibles():

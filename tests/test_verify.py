@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 import weakref
 from bisect import bisect_left
 
@@ -10,12 +11,13 @@ from conftest import all_subsets
 from tamari import bracket_b as bb
 from tamari import cli
 from tamari import noncross as nc
+from tamari import oracle
 from tamari import quotient_bds as q
 from tamari import shelling as sh
 from tamari import verify as vfy
 from tamari.bracket_b import INF
 from tamari.kinds import TypeA, TypeB, TypeBDS, lattice_kind
-from tamari.oracle import FinitePoset
+from tamari.oracle import PAIR_BLOCK, FinitePoset
 
 
 def test_suite_lattice_all_types():
@@ -59,18 +61,71 @@ def test_suite_lattice_reports_a_wrong_meet_against_both_entries(monkeypatch):
         assert f"meet({a},{b}) = {wrong} != oracle meet({b},{a}) = {right}" in rep["failures"]
         assert f"commutativity fails at {a},{b}" in rep["failures"]
         assert not any("join(" in f for f in rep["failures"])
-    # and the oracle's [b, a] entry is read on its own
+    # a wrong oracle answer gets the same two lines: the oracle answers each
+    # unordered pair once, for [a, b] and [b, a] alike, in any block
     monkeypatch.setattr(TypeB, "meet_rows", true_meet_rows)
-    all_meets = FinitePoset.all_meets
+    meets_of = FinitePoset.meets_of
+    last = len(elems) - 1
+    for block, x, y, bent in [(PAIR_BLOCK, 1, 4, last), (4, 1, 4, last), (4, last, last, 0)]:
+        p, r = elems[x], elems[y]
+        true = lat.meet(p, r)
 
-    def skewed(self):
-        table = all_meets(self)
-        table[4, 1] = len(elems) - 1
-        return table
+        def skewed(self, i, j, x=x, y=y, bent=bent):
+            out = meets_of(self, i, j)
+            out[(i == x) & (j == y)] = bent
+            return out
 
-    monkeypatch.setattr(FinitePoset, "all_meets", skewed)
+        monkeypatch.setattr(oracle, "PAIR_BLOCK", block)
+        monkeypatch.setattr(FinitePoset, "meets_of", skewed)
+        bent = elems[bent]
+        assert vfy.suite_lattice("b", 2)["failures"] == [
+            f"meet({p},{r}) = {true} != oracle {bent}",
+            f"meet({p},{r}) = {true} != oracle meet({r},{p}) = {bent}",
+        ]
+
+
+def test_suite_lattice_reports_an_oracle_without_a_bound(monkeypatch):
+    lat = lattice_kind("b", 2)
+    elems = lat.elements()
+    a, b = elems[2], elems[3]
+    joins_of = FinitePoset.joins_of
+
+    def unbounded(self, i, j):
+        out = joins_of(self, i, j)
+        out[(i == 2) & (j == 3)] = -1
+        return out
+
+    monkeypatch.setattr(FinitePoset, "joins_of", unbounded)
     rep = vfy.suite_lattice("b", 2)
-    assert rep["failures"] == [f"meet({a},{b}) = {right} != oracle meet({b},{a}) = {elems[-1]}"]
+    v = lat.join(a, b)
+    assert rep["failures"] == [f"join({a},{b}) = {v} != oracle None",
+                               f"join({a},{b}) = {v} != oracle join({b},{a}) = None",
+                               "oracle: not a lattice"]
+
+
+def test_suite_lattice_builds_no_oracle_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("suite_lattice built an N x N oracle table")
+
+    monkeypatch.setattr(FinitePoset, "all_meets", refuse)
+    monkeypatch.setattr(FinitePoset, "all_joins", refuse)
+    for kind, s in [("a", ()), ("b", ()), ("bds", (1, 3))]:
+        assert vfy.suite_lattice(kind, 3, s)["passed"], kind
+
+
+def test_suite_lattice_memory_peak(fresh_lattices):
+    """Oracle answers are compared block by block: at n = 6 (924
+    elements) the traced peak stays under 8.5 MiB, where the two N x N
+    int32 oracle tables alone would add 6.8 MB (11.7 MiB in all)."""
+    vfy.suite_lattice("b", 2)  # lazy imports load before tracing
+    sh.lattice_elements.cache_clear()
+    tracemalloc.start()
+    try:
+        rep = vfy.suite_lattice("b", 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["passed"] and peak < 8.5 * 2**20, peak
 
 
 def test_suite_lattice_failure_lines_go_by_row_then_meet_before_join(monkeypatch):
@@ -205,17 +260,26 @@ def test_suite_bijection_restricts_to_tns():
 
 
 def test_suite_bijection_reports_a_wrong_inverse_vector(monkeypatch):
-    """The inverse loop compares `psi_inverse_vector` with the forward
-    image: one wrong vector gives one round-trip line, same `checked`."""
+    """The inverse loop compares `psi_inverse_vector`'s kernel with the
+    forward image: one wrong vector gives one round-trip line, same
+    `checked`."""
     bad = nc.enumerate_ncb(3)[5]
-    inverse = nc.psi_inverse_vector
+    inverse = nc._psi_inverse_vector
     monkeypatch.setattr(
-        nc, "psi_inverse_vector", lambda p: (0, 0, 0) if p == bad else inverse(p)
+        nc, "_psi_inverse_vector", lambda p: (0, 0, 0) if p == bad else inverse(p)
     )
     assert inverse(bad) != (0, 0, 0)
     rep = vfy.suite_bijection("b", 3)
     assert rep["failures"] == [f"psi_inverse round trip fails at {bad.sorted_blocks()}"]
     assert rep["checked"] == 40
+
+
+def test_suite_bijection_checks_each_partition_noncrossing_once(monkeypatch):
+    calls = []
+    check = nc.is_noncrossing_b
+    monkeypatch.setattr(nc, "is_noncrossing_b", lambda p: calls.append(p) or check(p))
+    rep = vfy.suite_bijection("b", 4)
+    assert rep["passed"] and len(calls) == len(bb.enumerate_vectors(4)) == 70
 
 
 def test_suite_bijection_reports_a_wrong_encode(monkeypatch):
@@ -270,6 +334,23 @@ def test_suite_congruence_reports_a_projection_that_leaves_the_lattice(monkeypat
     code, rep, err = verify_cli(capsys, "congruence", "--type", "bds", "--n", "2", "--s", "1")
     assert code == 2 and err == "" and not rep["passed"]
     assert rep["failures"][:2] == ["projection of (0, 1) left the lattice: (inf, 1)"] * 2
+
+
+def test_suite_leftmod_reports_a_join_that_leaves_the_lattice(monkeypatch, capsys, fresh_lattices):
+    """A cached join table that holds -2 is a failure line of the report,
+    not an AssertionError out of the CLI."""
+    join_s_rows = q._join_s_rows
+
+    def broken(a, rows, s, n):
+        out = join_s_rows(a, rows, s, n)
+        out[:, 0] = n
+        return out
+
+    monkeypatch.setattr(q, "_join_s_rows", broken)
+    sh.lattice_elements.cache_clear()
+    code, rep, err = verify_cli(capsys, "leftmod", "--type", "bds", "--n", "3", "--s", "1")
+    assert code == 2 and err == "" and not rep["passed"]
+    assert rep["failures"][0].endswith(": a meet or join formula left T_n^S")
 
 
 def test_suite_congruence_reports_erratum():
