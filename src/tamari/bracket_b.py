@@ -15,8 +15,8 @@ the kernel/closure maps `down` and `up`.
 `tamari.meet`, the per-element steps of the suites) takes this route, at
 any n.  `_up_rows`/`_down_rows` run the same per-coordinate loops on an
 (m, n) float array, one numpy step for all m rows, and `meet_rows`/
-`join_rows` pair row k of a (or one vector a) with row k of rows: the
-whole-lattice passes (`shelling.op_tables`, `verify.suite_congruence`)
+`join_rows` pair row k of a (or one vector a) with row k of rows:
+`shelling.op_tables` and the lattice and congruence suites of `verify`
 take a block of pairs per call.  The row form costs O(n^2) numpy calls
 per call, so it pays only when it serves many rows at once.
 

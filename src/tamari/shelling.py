@@ -24,7 +24,7 @@ n^2 irreducible vectors are listed only by `join_irreducibles`.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import inf as INF
 
 from . import bracket_b as bb
@@ -135,8 +135,9 @@ class IndexedLattice(tuple):
     `strict` holds every pair y < z as two index arrays (y-major),
     `covers[i]` the upper covers of i (increasing), `ranks[i]` the rank of
     each one's EL label, and `meets`/`joins` the `op_tables` of the type-B
-    meet, which T_n^S inherits, and of the T_n^S join, filled block by
-    block of pairs by their row forms `bb.meet_rows` and `q._join_s_rows`."""
+    meet, which T_n^S inherits, and of the T_n^S join, by their row forms
+    `bb.meet_rows` and `q._join_s_rows`: `is_left_modular` reads both and
+    `verify.suite_congruence` the meets; `verify.suite_lattice` neither."""
 
     def __new__(cls, n: int, s=frozenset()):
         self = super().__new__(cls, q.elements_tns(n, s))
@@ -163,27 +164,23 @@ class IndexedLattice(tuple):
 
     @cached_property
     def meets(self):
-        return op_tables(self, {"meet": lambda a, rows: bb.meet_rows(a, rows, self.n)})["meet"]
+        return op_tables(self, {"meet": partial(bb.meet_rows, n=self.n)})["meet"]
 
     @cached_property
     def joins(self):
-        ops = {"join": lambda a, rows: q._join_s_rows(a, rows, self.s, self.n)}
-        return op_tables(self, ops)["join"]
+        return op_tables(self, {"join": partial(q._join_s_rows, s=self.s, n=self.n)})["join"]
 
 
 lattice_elements = lru_cache(maxsize=None)(IndexedLattice)  # one per (n, s)
 
 
-def op_tables(elems, row_ops: dict, each_block=lambda i, j, values: None) -> dict:
-    """N x N index tables of commutative operations, one per name, -2
-    for a value that is not an element.
-
-    row_ops[name](a, rows) is a row form, pairwise: a (one vector, or an
-    array aligned with rows) against each row of rows.  One walk of
-    `oracle.pair_blocks` evaluates each pair i <= j once, as (elems[i],
-    elems[j]), one call and one `RowIndex` lookup per block and operation,
-    writes [i, j] and [j, i], then hands each_block(i, j, {name: values}).
-    """
+def op_tables(elems, row_ops: dict) -> dict:
+    """N x N index tables of commutative operations, one per name, -2 for a
+    value that is not an element.  row_ops[name](a, rows) is a pairwise row
+    form (`bracket_b`).  One walk of `oracle.pair_blocks` gathers each
+    block's rows once and evaluates each pair i <= j once, as (elems[i],
+    elems[j]), by one call and one `RowIndex` lookup per operation, writing
+    [i, j] and [j, i]."""
     import numpy as np
 
     from .oracle import index_dtype, pair_blocks  # numpy loads only once a table is built
@@ -192,10 +189,9 @@ def op_tables(elems, row_ops: dict, each_block=lambda i, j, values: None) -> dic
     idx = RowIndex(elems)
     tables = {name: np.empty((size, size), index_dtype(size)) for name in row_ops}
     for i, j in pair_blocks(size):
-        values = {name: idx.lookup(op(idx.rows[i], idx.rows[j])) for name, op in row_ops.items()}
-        for name, got in values.items():
-            tables[name][i, j] = tables[name][j, i] = got
-        each_block(i, j, values)
+        a, b = idx.rows[i], idx.rows[j]
+        for name, op in row_ops.items():
+            tables[name][i, j] = tables[name][j, i] = idx.lookup(op(a, b))
     return tables
 
 

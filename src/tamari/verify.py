@@ -11,11 +11,9 @@ when it runs, so a patched or traced suite is the one called.
 Suites over T_n^S work in the index space of `shelling.lattice_elements`.
 The witnesses stay independent of what they check: the oracle receives
 only the order matrix, `suite_covers` never reads the cached covers,
-`suite_lattice` fills its own tables from the row forms of the kind's meet
-and join and checks the scalar forms against them, and `suite_el` sets the
-cached-cover search against `decreasing_chain_build`.  The whole-lattice
-passes of `suite_lattice` and `suite_congruence` call the row forms
-(`bracket_b` explains the two forms).
+`suite_lattice` reads no cached table but sets the row forms (`bracket_b`)
+of the kind's meet and join against the oracle and the scalar forms, and
+`suite_el` sets the cached-cover search against `decreasing_chain_build`.
 """
 
 from __future__ import annotations
@@ -69,69 +67,80 @@ def _poset(elems):
     return FinitePoset(elems, order)
 
 
+def _algebra_entries(lat, idx: sh.RowIndex, a, b, c) -> tuple:
+    """The `shelling.op_tables` entries the lattice-algebra pass reads for
+    triples (a, b, c), made on demand: join and meet [a, b]; `ok`, where
+    [a, b] and [b, c] are indices; join [[a, b], c], [a, [b, c]],
+    [a, meet[a, b]] and meet alike, void where not `ok`."""
+    import numpy as np
+
+    # [x, y] is the row form at (elems[min], elems[max]), looked up; a -2 of a
+    # triple that is not `ok` reads row 0, and what it gives is void
+    def entries(op, *pairs):
+        lo, hi = np.sort([np.concatenate(p).clip(0) for p in zip(*pairs)], axis=0)
+        return np.split(idx.lookup(op(idx.rows[lo], idx.rows[hi])), len(pairs))
+
+    (jab, jbc), (mab, mbc) = (entries(op, (a, b), (b, c)) for op in (lat.join_rows, lat.meet_rows))
+    joins = entries(lat.join_rows, (jab, c), (a, jbc), (a, mab))
+    meets = entries(lat.meet_rows, (mab, c), (a, mbc), (a, jab))
+    return jab, mab, np.minimum.reduce([jab, jbc, mab, mbc]) >= 0, joins, meets
+
+
 def suite_lattice(kind: str, n: int, s=()) -> dict:
     """Poset is a lattice per oracle; formula meet/join match it on all pairs.
 
-    One walk of `shelling.op_tables` fills the row forms' tables and hands
-    each block of pairs i <= j to the oracle's `meets_of`/`joins_of`, whose
-    answers are compared on the spot: no N x N oracle table is held.  The
-    oracle answers [a, b] and [b, a] alike (an AND commutes); a wrong value
-    gets a line against each, naming the row form's value.  `checked` counts
-    those N^2 entries plus the triples of the lattice-algebra pass (types b
-    and bds), which reads the tables and calls the scalar formulas in the
-    other argument order, checking commutativity and the scalar against the
-    row form: every triple while N^3 <= 10,000, a seeded sample beyond.
+    One walk of `oracle.pair_blocks` sets the row forms at (elems[i],
+    elems[j]), i <= j, against the oracle's `meets_of`/`joins_of`, which
+    answer [j, i] alike: unless the oracle's element has the row form's
+    row, a line against each.  No N x N table is held.  `checked` counts
+    those N^2 entries plus the lattice-algebra triples (b, bds: all while
+    N^3 <= 10,000, else a seeded sample); their pass reads `_algebra_entries`
+    and checks the scalar formulas, arguments swapped, against the row forms.
     """
     import numpy as np
 
+    from .oracle import pair_blocks
+
     lat = _lattice("lattice", kind, n, s)
-    failures: list[str] = []
-    elems = lat.elements()
-    po = _poset(elems)
-    row_ops = {"meet": lat.meet_rows, "join": lat.join_rows}
-    oracle = {"meet": po.meets_of, "join": po.joins_of}
-    wrong = []  # (i, is join, j, oracle answer) with i <= j; sorted, the order of the lines
-
-    def compare(i, j, values):
-        for name, got in values.items():
-            want = oracle[name](i, j)
-            bad = (got != want).nonzero()[0]
-            wrong.extend(zip(i[bad].tolist(), [name == "join"] * len(bad), j[bad].tolist(),
-                             want[bad].tolist()))
-
-    tables = sh.op_tables(elems, row_ops, compare)
+    elems, failures = lat.elements(), []
+    po, idx = _poset(elems), sh.RowIndex(elems)
+    ops = {"meet": (lat.meet_rows, po.meets_of), "join": (lat.join_rows, po.joins_of)}
+    wrong = []  # (i, is join, j, oracle answer, row form) with i <= j; sorted, line order
+    for i, j in pair_blocks(len(elems)):
+        a, b = idx.rows[i], idx.rows[j]
+        for name, (op, bounds_of) in ops.items():
+            got, want = op(a, b), bounds_of(i, j)
+            bad = ((want < 0) | (idx.rows[want] != got).any(1)).nonzero()[0]
+            wrong += zip(i[bad].tolist(), [name == "join"] * len(bad), j[bad].tolist(),
+                         want[bad].tolist(), map(_as_vector, got[bad]))
     named = [*elems, None]  # index -1, no meet or join, reads as None
     checked = len(elems) ** 2
-    for i, w, j, want in sorted(wrong):
+    for i, w, j, want, v in sorted(wrong):
         name, a, b = ("meet", "join")[w], elems[i], elems[j]
-        v = _as_vector(row_ops[name](a, np.array([b], dtype=float))[0])
         failures.append(f"{name}({a},{b}) = {v} != oracle {named[want]}")
         failures.append(f"{name}({a},{b}) = {v} != oracle {name}({b},{a}) = {named[want]}")
-    if any(want < 0 for *_, want in wrong):  # a table's non-element is -2: -1 always mismatches
+    if any(want < 0 for _, _, _, want, _ in wrong):
         failures.append("oracle: not a lattice")
     if isinstance(lat, TypeB):  # type B and its quotients only
         # lattice algebra: exhaustive triples at small n, seeded sample beyond
-        rng = random.Random(_seed())
-        size = len(elems)
-        triples = (
-            itertools.product(range(size), repeat=3)
-            if size**3 <= 10_000
-            else [rng.choices(range(size), k=3) for _ in range(2000)]
-        )
-        meet, join = tables["meet"], tables["join"]
-        for a, b, c in triples:
-            checked += 1
-            x, y = elems[a], elems[b]
+        rng, size = random.Random(_seed()), len(elems)
+        triples = (list(itertools.product(range(size), repeat=3)) if size**3 <= 10_000
+                   else [rng.choices(range(size), k=3) for _ in range(2000)])
+        a, b, c = np.array(triples).T
+        checked += len(triples)
+        jab, mab, ok, (j1, j2, ja), (m1, m2, ma) = _algebra_entries(lat, idx, a, b, c)
+        # join, meet associativity and absorption fail; a value outside the lattice is no index
+        laws = np.c_[j1 != j2, m1 != m2, (ja != a) | (ma != a)] & ok[:, None]
+        for (p, r, u), j_ab, m_ab, (*assoc, absorb) in zip(
+                triples, jab.tolist(), mab.tolist(), laws.tolist()):
+            x, y = elems[p], elems[r]
             flipped = po.index.get(lat.join(y, x), -2), po.index.get(lat.meet(y, x), -2)
-            if flipped != (join[a, b], meet[a, b]):
+            if flipped != (j_ab, m_ab):
                 failures.append(f"commutativity fails at {x},{y}")
-            if min(join[a, b], join[b, c], meet[a, b], meet[b, c]) < 0:
-                continue  # a value outside the lattice, reported above, is no index
-            if join[join[a, b], c] != join[a, join[b, c]]:
-                failures.append(f"join associativity fails at {x},{y},{elems[c]}")
-            if meet[meet[a, b], c] != meet[a, meet[b, c]]:
-                failures.append(f"meet associativity fails at {x},{y},{elems[c]}")
-            if join[a, meet[a, b]] != a or meet[a, join[a, b]] != a:
+            for name, bad in zip(("join", "meet"), assoc):
+                if bad:
+                    failures.append(f"{name} associativity fails at {x},{y},{elems[u]}")
+            if absorb:
                 failures.append(f"absorption fails at {x},{y}")
     return _report("lattice", lat, failures, checked)
 
@@ -272,11 +281,12 @@ def suite_congruence(kind: str, n: int, s=()) -> dict:
     The meet half of the congruence is known to fail (see the erratum in
     the README); it is checked faithfully regardless.  For each v with
     w = project(v) != v, the type-B joins and meets of v and of w with
-    every z of T_n^B are row forms, projected and compared per z.  The
-    non-sublattice witness is the first ordered pair of T_n^S, row-major,
-    whose type-B join has n-1 at a coordinate in S.  The row form of the
-    join is symmetric, so that pair has i <= j: `oracle.pair_blocks` walks
-    only those.
+    every z of T_n^B are row forms, projected and compared per z.  One
+    walk of `oracle.pair_blocks` (i <= j: the row forms are symmetric)
+    compares the cached type-B meet table of T_n^S with the oracle's
+    `meets_of`, with lines at [i, j] and [j, i], and finds the witness of
+    no sublattice: the first pair, row-major, whose type-B join has n-1 at
+    a coordinate in S.
     """
     import numpy as np
 
@@ -302,18 +312,17 @@ def suite_congruence(kind: str, n: int, s=()) -> dict:
                 failures.append(f"join congruence fails: v={v} w={w} z={z}")
             if apart["meet"][k]:
                 failures.append(f"meet congruence fails: v={v} w={w} z={z}")
-    wrong = elems.meets != _poset(elems).all_meets()  # the type-B meet against the oracle's
-    checked += wrong.size
-    for i, j in zip(*(x.tolist() for x in wrong.nonzero())):
+    po, wrong, witness = _poset(elems), set(), None
+    rows, in_s = np.array(elems, dtype=float), [k - 1 for k in sorted(s)]
+    for i, j in pair_blocks(len(elems)):  # the type-B meet against the oracle's; the witness
+        bad = (elems.meets[i, j] != po.meets_of(i, j)).nonzero()[0]
+        wrong.update(zip(i[bad].tolist(), j[bad].tolist()), zip(j[bad].tolist(), i[bad].tolist()))
+        if witness is None:
+            out = (bb.join_rows(rows[i], rows[j], n)[:, in_s] == n - 1).any(1)
+            witness = tuple(elems[x[out.argmax()]] for x in (i, j)) if out.any() else None
+    checked += len(elems) ** 2
+    for i, j in sorted(wrong):  # row-major over the whole table
         failures.append(f"inherited meet wrong at {elems[i]},{elems[j]}")
-    rows = np.array(elems, dtype=float)
-    in_s = [k - 1 for k in sorted(s)]
-    witness = None
-    for i, j in pair_blocks(len(elems)):
-        out = (bb.join_rows(rows[i], rows[j], n)[:, in_s] == n - 1).any(1)
-        if out.any():
-            witness = tuple(elems[x[out.argmax()]] for x in (i, j))
-            break
     return _report("congruence", lat, failures, checked, non_sublattice_witness=witness)
 
 

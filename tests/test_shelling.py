@@ -223,14 +223,10 @@ def test_op_table_evaluates_each_unordered_pair_once_earlier_first():
         calls.append(idx.lookup(a) * size + idx.lookup(rows))
         return bb.meet_rows(a, rows, 6)
 
-    blocks = []
-    tables = sh.op_tables(elems, {"meet": row_op}, lambda i, j, got: blocks.append((i, j, got)))
+    sh.op_tables(elems, {"meet": row_op})
     assert max(map(len, calls)) == PAIR_BLOCK
     i, j = np.triu_indices(size)
     assert np.array_equal(np.concatenate(calls), i * size + j)  # row-major, once each
-    # each block reaches the caller with its pairs and the values written for them
-    assert np.array_equal(np.concatenate([bi * size + bj for bi, bj, _ in blocks]), i * size + j)
-    assert all(np.array_equal(tables["meet"][bi, bj], got["meet"]) for bi, bj, got in blocks)
 
 
 def test_label_rank_is_the_place_among_the_irreducibles():

@@ -1,5 +1,7 @@
 import gc
+import itertools
 import json
+import random
 import tracemalloc
 import weakref
 from bisect import bisect_left
@@ -85,38 +87,47 @@ def test_suite_lattice_reports_a_wrong_meet_against_both_entries(monkeypatch):
 
 
 def test_suite_lattice_reports_an_oracle_without_a_bound(monkeypatch):
+    """-1 is no element, also where it would index the last row: the join
+    of elems[1] and elems[4] is the last element."""
     lat = lattice_kind("b", 2)
     elems = lat.elements()
-    a, b = elems[2], elems[3]
     joins_of = FinitePoset.joins_of
+    for x, y in [(2, 3), (1, 4)]:
+        a, b = elems[x], elems[y]
 
-    def unbounded(self, i, j):
-        out = joins_of(self, i, j)
-        out[(i == 2) & (j == 3)] = -1
-        return out
+        def unbounded(self, i, j, x=x, y=y):
+            out = joins_of(self, i, j)
+            out[(i == x) & (j == y)] = -1
+            return out
 
-    monkeypatch.setattr(FinitePoset, "joins_of", unbounded)
-    rep = vfy.suite_lattice("b", 2)
-    v = lat.join(a, b)
-    assert rep["failures"] == [f"join({a},{b}) = {v} != oracle None",
-                               f"join({a},{b}) = {v} != oracle join({b},{a}) = None",
-                               "oracle: not a lattice"]
+        monkeypatch.setattr(FinitePoset, "joins_of", unbounded)
+        rep = vfy.suite_lattice("b", 2)
+        v = lat.join(a, b)
+        assert (y == 4) == (v == elems[-1])
+        assert rep["failures"] == [f"join({a},{b}) = {v} != oracle None",
+                                   f"join({a},{b}) = {v} != oracle join({b},{a}) = None",
+                                   "oracle: not a lattice"]
 
 
-def test_suite_lattice_builds_no_oracle_table(monkeypatch):
-    def refuse(self):
-        raise AssertionError("suite_lattice built an N x N oracle table")
+def test_suite_lattice_builds_no_oracle_table(monkeypatch, fresh_lattices):
+    """Neither an oracle table nor a formula table: the cached meets and
+    joins of `lattice_elements` would need `op_tables`."""
+    def refuse(*args):
+        raise AssertionError("suite_lattice built an N x N table")
 
     monkeypatch.setattr(FinitePoset, "all_meets", refuse)
     monkeypatch.setattr(FinitePoset, "all_joins", refuse)
-    for kind, s in [("a", ()), ("b", ()), ("bds", (1, 3))]:
-        assert vfy.suite_lattice(kind, 3, s)["passed"], kind
+    monkeypatch.setattr(sh, "op_tables", refuse)
+    sh.lattice_elements.cache_clear()
+    for kind, n, s in [("a", 3, ()), ("b", 3, ()), ("bds", 3, (1, 3)), ("b", 5, ())]:
+        assert vfy.suite_lattice(kind, n, s)["passed"], (kind, n)
 
 
 def test_suite_lattice_memory_peak(fresh_lattices):
-    """Oracle answers are compared block by block: at n = 6 (924
-    elements) the traced peak stays under 8.5 MiB, where the two N x N
-    int32 oracle tables alone would add 6.8 MB (11.7 MiB in all)."""
+    """Row-form values are compared with the oracle's elements block by
+    block and the algebra pass makes its entries on demand: at n = 6 (924
+    elements) the traced peak stays under 4 MiB (3.2 MiB measured), where
+    the two N x N int16 formula tables alone would add 3.4 MB."""
     vfy.suite_lattice("b", 2)  # lazy imports load before tracing
     sh.lattice_elements.cache_clear()
     tracemalloc.start()
@@ -125,7 +136,62 @@ def test_suite_lattice_memory_peak(fresh_lattices):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep["passed"] and peak < 8.5 * 2**20, peak
+    assert rep["passed"] and peak < 4 * 2**20, peak
+
+
+ALGEBRA_CASES = [*(("b", n, ()) for n in (1, 2, 3)),
+                 *(("bds", n, s) for n in (1, 2, 3) for s in all_subsets(n) if s),
+                 ("b", 5, ()), ("bds", 5, (2, 4))]
+
+
+@pytest.mark.parametrize(
+    "kind, n, s", ALGEBRA_CASES, ids=[f"{k}{n}-{sorted(s)}" for k, n, s in ALGEBRA_CASES]
+)
+def test_algebra_entries_are_the_op_table_entries(kind, n, s):
+    """Every entry the algebra pass reads is the one the table held, for
+    every triple while N^3 <= 10,000 and for the sampled triples beyond."""
+    lat = lattice_kind(kind, n, s)
+    elems = lat.elements()
+    size = len(elems)
+    tables = sh.op_tables(elems, {"meet": lat.meet_rows, "join": lat.join_rows})
+    join, meet = tables["join"], tables["meet"]
+    if size**3 <= 10_000:
+        triples = list(itertools.product(range(size), repeat=3))
+    else:  # the suite's sample
+        rng = random.Random(vfy._seed())
+        triples = [rng.choices(range(size), k=3) for _ in range(2000)]
+    a, b, c = np.array(triples).T
+    jab, mab, ok, joins, meets = vfy._algebra_entries(lat, sh.RowIndex(elems), a, b, c)
+    assert (jab == join[a, b]).all() and (mab == meet[a, b]).all()
+    assert (ok == (np.minimum.reduce([join[a, b], join[b, c], meet[a, b], meet[b, c]]) >= 0)).all()
+    a, b, c, jab, mab = a[ok], b[ok], c[ok], jab[ok], mab[ok]
+    assert ok.any()
+    for got, want in zip(joins, (join[jab, c], join[a, join[b, c]], join[a, mab])):
+        assert (got[ok] == want).all()
+    for got, want in zip(meets, (meet[mab, c], meet[a, meet[b, c]], meet[a, jab])):
+        assert (got[ok] == want).all()
+
+
+def test_suite_lattice_reads_the_row_forms_earlier_element_first(monkeypatch):
+    """A join row form that is wrong only with its arguments in the
+    (later, earlier) order is never asked that way: the report is the
+    passing one."""
+    true_join_rows = TypeB.join_rows
+    for n in (2, 3):
+        elems = lattice_kind("b", n).elements()
+        idx = sh.RowIndex(elems)
+
+        def bent(self, x, rows, idx=idx):
+            out = true_join_rows(self, x, rows)
+            out[idx.lookup(np.broadcast_to(x, rows.shape)) > idx.lookup(rows)] = 0  # the bottom
+            return out
+
+        top = np.array([elems[-1]], dtype=float)
+        assert (bent(TypeB(n), top, idx.rows[:1]) == 0).all()  # (top, bottom) reads bottom
+        monkeypatch.setattr(TypeB, "join_rows", bent)
+        rep = vfy.suite_lattice("b", n)
+        size = len(elems)  # 6 and 20: every triple
+        assert (rep["passed"], rep["failures"], rep["checked"]) == (True, [], size**2 + size**3)
 
 
 def test_suite_lattice_failure_lines_go_by_row_then_meet_before_join(monkeypatch):
@@ -235,6 +301,18 @@ def test_suite_congruence_reports_a_wrong_inherited_meet(monkeypatch, fresh_latt
     sh.lattice_elements.cache_clear()
     rep = vfy.suite_congruence("bds", 3, (3,))
     assert rep["failures"] == [f"inherited meet wrong at {a},{b}", f"inherited meet wrong at {b},{a}"]
+
+
+def test_suite_congruence_builds_no_oracle_table(monkeypatch, fresh_lattices):
+    """The inherited meet is compared block by block: the wrong-meet report
+    stands with `FinitePoset.all_meets` refused."""
+    def refuse(self):
+        raise AssertionError("suite_congruence built an N x N oracle table")
+
+    monkeypatch.setattr(FinitePoset, "all_meets", refuse)
+    rep = vfy.suite_congruence("bds", 3, (1,))
+    assert (rep["checked"], rep["passed"]) == (364, False)
+    test_suite_congruence_reports_a_wrong_inherited_meet(monkeypatch, fresh_lattices)
 
 
 def test_cache_clear_drops_every_per_lattice_structure():
