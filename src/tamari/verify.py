@@ -77,8 +77,7 @@ def _algebra_entries(lat, idx: sh.RowIndex, a, b, c) -> tuple:
     # [x, y] is the row form at (elems[min], elems[max]), looked up; a -2 of a
     # triple that is not `ok` reads row 0, and what it gives is void
     def entries(op, *pairs):
-        lo, hi = np.sort([np.concatenate(p).clip(0) for p in zip(*pairs)], axis=0)
-        return np.split(idx.lookup(op(idx.rows[lo], idx.rows[hi])), len(pairs))
+        return [idx.lookup(op(*idx.rows[np.sort([x, y], axis=0).clip(0)])) for x, y in pairs]
 
     (jab, jbc), (mab, mbc) = (entries(op, (a, b), (b, c)) for op in (lat.join_rows, lat.meet_rows))
     joins = entries(lat.join_rows, (jab, c), (a, jbc), (a, mab))
