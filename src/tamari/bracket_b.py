@@ -33,7 +33,7 @@ from bisect import bisect_left, insort
 from math import inf as INF
 
 from .polygon import ccw_distance, chord, chord_partner, n_vertices
-from .tri_b import TriangulationB, c_i, from_red_set
+from .tri_b import TriangulationB, from_red_set, scan
 
 Vector = tuple
 
@@ -180,8 +180,7 @@ def encode(t: TriangulationB) -> Vector:
     """Bracket vector of a triangulation (inf when the reach exceeds n-1)."""
     n = t.n
     out = []
-    for i in range(1, n + 1):
-        c = c_i(t, i)
+    for i, c in enumerate(scan(t), 1):
         if c is None:
             out.append(0)
             continue
@@ -210,12 +209,8 @@ def scan_chords(v: Vector, n: int) -> list:
 
 def decode(v: Vector, n: int) -> TriangulationB:
     """Triangulation with bracket vector v: rebuild C_i, then green-complete."""
-    reds: set = set()
-    for c in scan_chords(v, n):
-        if c is not None:
-            reds.add(c)
-            reds.add(chord_partner(c, n))
-    return from_red_set(n, reds)
+    chords = [c for c in scan_chords(v, n) if c is not None]
+    return from_red_set(n, [*chords, *(chord_partner(c, n) for c in chords)])
 
 
 def leq(a: Vector, b: Vector) -> bool:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import inf as INF
 
 from . import bracket_b as bb
-from .polygon import chord_kind, innermost_cut, is_barred, json_n, label_value, n_vertices
+from .polygon import innermost_cut, json_n, n_vertices
 from .tri_b import TriangulationB
 
 
@@ -122,26 +122,24 @@ def is_noncrossing_b(p: NoncrossingPartitionB) -> bool:
 
 
 def _cuts(t: TriangulationB) -> list[tuple[int, int]]:
-    """Perturbed red chords as half-open index intervals [lo, hi)."""
-    n = t.n
-    out = []
-    for a, b in t.reds:
-        if chord_kind((a, b), n) == "mixed":
-            out.append((a, b))  # a unbarred, b barred: [a, b)
-        else:
-            out.append((a + 1, b))  # endpoints move together: (a, b)
-    return sorted(out)
+    """Perturbed red chords as half-open index intervals [lo, hi): a mixed
+    chord, a < n+1 <= b, cuts [a, b); a pure one the open range (a, b)."""
+    h = t.n + 1
+    return sorted((a, b) if a < h <= b else (a + 1, b) for a, b in t.reds)
 
 
 def psi(t: TriangulationB) -> NoncrossingPartitionB:
     """The type-B noncrossing partition induced by the red chords: a vertex's
     cell is named by the innermost cut that holds it (`innermost_cut`)."""
     n = t.n
+    cut_of = innermost_cut(_cuts(t), n_vertices(n))
     cells: dict[int, set[int]] = {}
-    for idx, k in enumerate(innermost_cut(_cuts(t), n_vertices(n))):
-        if idx not in (n, 2 * n + 1):  # the erased vertices
-            x = label_value(idx, n) * (-1 if is_barred(idx, n) else 1)
-            cells.setdefault(k, set()).add(x)
+    # index idx < n is the vertex idx+1, n < idx < 2n+1 is (idx-n)bar, the
+    # element n-idx; the vertices n+1 and (n+1)bar are erased
+    for idx in range(n):
+        cells.setdefault(cut_of[idx], set()).add(idx + 1)
+    for idx in range(n + 1, 2 * n + 1):
+        cells.setdefault(cut_of[idx], set()).add(n - idx)
     return NoncrossingPartitionB(n, frozenset(frozenset(b) for b in cells.values()))
 
 

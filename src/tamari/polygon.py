@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 Chord = tuple[int, int]
 
@@ -62,11 +63,6 @@ def idx_of(label: str | int, n: int) -> int:
     return v - 1 if v > 0 else n - v
 
 
-def partner_idx(idx: int, n: int) -> int:
-    """Image of a vertex under the half-turn rotation."""
-    return (idx + n + 1) % (2 * n + 2)
-
-
 def chord(a: int, b: int) -> Chord:
     if a == b:
         raise ValueError("chord endpoints must be distinct")
@@ -74,8 +70,11 @@ def chord(a: int, b: int) -> Chord:
 
 
 def chord_partner(c: Chord, n: int) -> Chord:
+    """The half-turn image of a chord a < b: n+1 added to an end below n+1,
+    subtracted from the others; when only a is below, b's image leads."""
     a, b = c
-    return chord(partner_idx(a, n), partner_idx(b, n))
+    h = n + 1
+    return (a + h, b + h) if b < h else (b - h, a + h) if a < h else (a - h, b - h)
 
 
 def is_side(c: Chord, m: int) -> bool:
@@ -110,6 +109,11 @@ def crosses(c1: Chord, c2: Chord) -> bool:
     return (a < c < b < d) or (c < a < d < b)
 
 
+def outer_first(chords) -> list[Chord]:
+    """The chords sorted by (a, -b), in two stable sorts keyed in C."""
+    return sorted(sorted(chords, key=itemgetter(1), reverse=True), key=itemgetter(0))
+
+
 def noncrossing(chords) -> bool:
     """True iff no two of the chords (a, b), a < b, cross; one stack pass.
 
@@ -119,7 +123,7 @@ def noncrossing(chords) -> bool:
     `not any(crosses(c1, c2))` over all pairs, in O(m log m).
     """
     ends: list[int] = []
-    for a, b in sorted(chords, key=lambda c: (c[0], -c[1])):
+    for a, b in outer_first(chords):
         while ends and ends[-1] <= a:
             ends.pop()
         if ends and ends[-1] < b:
@@ -193,8 +197,8 @@ def name_crossing(chords, what: str) -> None:
 @dataclass(frozen=True)
 class Triangulation:
     """A triangulation of a convex m-gon, as its m - 3 internal chords.  A
-    subclass gives `sides` (m) and `_check_chord(c, m)` for out-of-range
-    chords and polygon sides, checked after the count and before the crossings."""
+    subclass gives `sides` (m) and `_check_chords(m)`, one pass that rejects out-of-range
+    chords and polygon sides, run after the count and before the crossings."""
 
     n: int
     chords: frozenset[Chord]
@@ -203,8 +207,7 @@ class Triangulation:
         m = self.sides
         if len(self.chords) != m - 3:
             raise ValueError(f"expected {m - 3} chords, got {len(self.chords)}")
-        for c in self.chords:
-            self._check_chord(c, m)
+        self._check_chords(m)
         name_crossing(self.chords, "chords")
 
     @classmethod

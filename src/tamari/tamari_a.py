@@ -33,10 +33,11 @@ class TriangulationA(Triangulation):
     def sides(self) -> int:
         return self.n + 3
 
-    def _check_chord(self, c: Chord, m: int) -> None:
-        a, b = c
-        if not (0 <= a < b < m) or is_side(c, m):
-            raise ValueError(f"bad chord {c}")
+    def _check_chords(self, m: int) -> None:
+        for c in self.chords:
+            a, b = c
+            if not (0 <= a < b < m) or b - a in (1, m - 1):
+                raise ValueError(f"bad chord {c}")
 
     def to_json(self) -> dict:
         return {"n": self.n, "chords": [list(c) for c in self.sorted_chords()]}

@@ -9,12 +9,12 @@ they cut out have a unique all-green completion).
 The chord count, the crossing check that names the pair, the
 vertex-to-chord-ends map `ends` and the apex search are the shared core
 `polygon.Triangulation`; this module adds the symmetry check, the colours
-and the red set, which a triangulation keeps once found (`reds`).  `c_i`
-reads `ends`, so `red_set` and `encode` are linear in the chords.
-`from_red_set` cuts the polygon into regions in one stack walk
-(`split_regions`) and completes each region by position
-(`green_complete`), both shared with type A; nothing recurses, so `decode`
-works at any n.
+and the red set, which a triangulation keeps once found (`reds`).  `scan`
+finds C_1..C_n in one pass over `ends`, and `c_i`, `red_set` and `encode`
+read it.  `from_red_set` cuts the polygon into regions in one stack walk
+that also decides the crossings (`split_regions`) and completes each
+region by position (`green_complete`), both shared with type A; nothing
+recurses, so `decode` works at any n.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .polygon import (
     label_value,
     n_vertices,
     name_crossing,
+    outer_first,
 )
 
 RED = "red"
@@ -49,14 +50,16 @@ class TriangulationB(Triangulation):
     def sides(self) -> int:
         return n_vertices(self.n)
 
-    def _check_chord(self, c: Chord, m: int) -> None:
-        a, b = c
-        if not (0 <= a < b < m):
-            raise ValueError(f"chord {c} out of range")
-        if is_side(c, m):
-            raise ValueError(f"{c} is a polygon edge, not a chord")
-        if chord_partner(c, self.n) not in self.chords:
-            raise ValueError(f"chord set not symmetric at {c}")
+    def _check_chords(self, m: int) -> None:
+        chords, n = self.chords, self.n
+        for c in chords:
+            a, b = c
+            if not (0 <= a < b < m):
+                raise ValueError(f"chord {c} out of range")
+            if b - a in (1, m - 1):
+                raise ValueError(f"{c} is a polygon edge, not a chord")
+            if chord_partner(c, n) not in chords:
+                raise ValueError(f"chord set not symmetric at {c}")
 
     @cached_property
     def reds(self) -> frozenset[Chord]:
@@ -111,35 +114,30 @@ def color(t: TriangulationB, c: Chord) -> str:
     return GREEN
 
 
-def c_i(t: TriangulationB, i: int) -> Chord | None:
-    """The scan chord C_i: first chord at vertex i found clockwise from 1bar.
+def scan(t: TriangulationB) -> list[Chord | None]:
+    """C_1..C_n in one pass over `t.ends`.  C_i is the chord at vertex v = i-1
+    whose far end comes first clockwise from 1bar, if it comes before v's
+    counter-clockwise neighbour, n+v steps on; else None (an edge segment)."""
+    n, m, ends = t.n, t.sides, t.ends
+    start = n + 1
+    out: list[Chord | None] = []
+    for v in range(n):
+        first = min([(w - start) % m for w in ends[v]], default=m)
+        out.append(chord(v, (start + first) % m) if first < n + v else None)
+    return out
 
-    Returns None when C_i is the edge segment to the counter-clockwise
-    neighbour of i.  Reads `t.ends`: of the chords at i, the one whose far
-    end comes first clockwise from 1bar, if that end comes before i's
-    counter-clockwise neighbour, in time linear in the chords at i.
-    """
+
+def c_i(t: TriangulationB, i: int) -> Chord | None:
+    """The scan chord C_i: first chord at vertex i found clockwise from 1bar."""
     if not 1 <= i <= t.n:
         raise ValueError(f"i must be in [1, {t.n}]")
-    m = t.sides
-    start = t.n + 1
-    # clockwise steps from 1bar; the walk stops before the neighbour i-2
-    steps = [(w - start) % m for w in t.ends[i - 1]]
-    first = min(steps, default=m)
-    if first >= (i - 2 - start) % m:
-        return None
-    return chord(i - 1, (start + first) % m)
+    return scan(t)[i - 1]
 
 
 def red_set(t: TriangulationB) -> frozenset[Chord]:
     """The chord-valued C_i together with their symmetric partners."""
-    reds: set[Chord] = set()
-    for i in range(1, t.n + 1):
-        c = c_i(t, i)
-        if c is not None:
-            reds.add(c)
-            reds.add(chord_partner(c, t.n))
-    return frozenset(reds)
+    reds = [c for c in scan(t) if c is not None]
+    return frozenset([*reds, *(chord_partner(c, t.n) for c in reds)])
 
 
 def green_complete(n: int, region) -> set[Chord]:
@@ -169,15 +167,17 @@ def green_complete(n: int, region) -> set[Chord]:
 
 
 def split_regions(m: int, chords) -> list[tuple[int, ...]]:
-    """Cyclic regions an m-gon is cut into by a noncrossing chord family.
+    """Cyclic regions an m-gon is cut into by a noncrossing family of red chords.
 
     One walk over the vertices with a stack of open regions, the chords
     sorted by (a, -b).  At vertex x every open region whose chord ends at x
     takes x and closes (these are on top, innermost first); the region
     then on top takes x; and one region opens at x for each chord that
-    starts there, outer chord first, with x as its first vertex.
+    starts there, outer chord first, with x as its first vertex.  One that
+    ends beyond the innermost open region crosses its chord (the test of
+    `noncrossing`), and `name_crossing` raises, naming a pair of `chords`.
     """
-    ordered = sorted(set(chords), key=lambda c: (c[0], -c[1]))
+    ordered = outer_first(set(chords))
     stack: list[tuple[int, list[int]]] = [(m, [])]  # the outer region, closed after the walk
     out: list[tuple[int, ...]] = []
     j = 0
@@ -186,7 +186,10 @@ def split_regions(m: int, chords) -> list[tuple[int, ...]]:
             out.append((*stack.pop()[1], x))
         stack[-1][1].append(x)
         while j < len(ordered) and ordered[j][0] == x:
-            stack.append((ordered[j][1], [x]))
+            b = ordered[j][1]
+            if b > stack[-1][0]:
+                name_crossing(chords, "red chords")
+            stack.append((b, [x]))
             j += 1
     out.append(tuple(stack[0][1]))
     return out
@@ -198,8 +201,7 @@ def from_red_set(n: int, reds) -> TriangulationB:
     for c in reds:
         if chord_partner(c, n) not in reds:
             raise ValueError(f"red set not symmetric at {c}")
-    name_crossing(reds, "red chords")
-    chords = set(reds)
+    chords = set(reds)  # symmetric; `split_regions` raises if they cross
     for region in split_regions(n_vertices(n), reds):
         chords |= green_complete(n, region)
     t = TriangulationB(n, frozenset(chords))

@@ -18,7 +18,6 @@ of the kind's meet and join against the oracle and the scalar forms, and
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import random
@@ -74,14 +73,20 @@ def _algebra_entries(lat, idx: sh.RowIndex, a, b, c) -> tuple:
     [a, meet[a, b]] and meet alike, void where not `ok`."""
     import numpy as np
 
-    # [x, y] is the row form at (elems[min], elems[max]), looked up; a -2 of a
-    # triple that is not `ok` reads row 0, and what it gives is void
-    def entries(op, *pairs):
-        return [idx.lookup(op(*idx.rows[np.sort([x, y], axis=0).clip(0)])) for x, y in pairs]
+    size = len(idx.rows)
 
-    (jab, jbc), (mab, mbc) = (entries(op, (a, b), (b, c)) for op in (lat.join_rows, lat.meet_rows))
-    joins = entries(lat.join_rows, (jab, c), (a, jbc), (a, mab))
-    meets = entries(lat.meet_rows, (mab, c), (a, mbc), (a, jab))
+    # [x, y] is the row form at (elems[min], elems[max]), looked up, made once
+    # per distinct pair (keyed min * size + max); a -2 of a triple that is
+    # not `ok` reads row 0, and what it gives is void
+    def entry(op, x, y):
+        pairs, inv = np.unique(np.minimum(x, y).clip(0) * size + np.maximum(x, y).clip(0),
+                               return_inverse=True)
+        return idx.lookup(op(idx.rows[pairs // size], idx.rows[pairs % size]))[inv]
+
+    (jab, jbc), (mab, mbc) = ([entry(op, a, b), entry(op, b, c)]
+                              for op in (lat.join_rows, lat.meet_rows))
+    joins = [entry(lat.join_rows, x, y) for x, y in ((jab, c), (a, jbc), (a, mab))]
+    meets = [entry(lat.meet_rows, x, y) for x, y in ((mab, c), (a, mbc), (a, jab))]
     return jab, mab, np.minimum.reduce([jab, jbc, mab, mbc]) >= 0, joins, meets
 
 
@@ -106,12 +111,13 @@ def suite_lattice(kind: str, n: int, s=()) -> dict:
     ops = {"meet": (lat.meet_rows, po.meets_of), "join": (lat.join_rows, po.joins_of)}
     wrong = []  # (i, is join, j, oracle answer, row form) with i <= j; sorted, line order
     for i, j in pair_blocks(len(elems)):
-        a, b = idx.rows[i], idx.rows[j]
         for name, (op, bounds_of) in ops.items():
-            got, want = op(a, b), bounds_of(i, j)
+            want = bounds_of(i, j)
+            got = op(idx.rows[i], idx.rows[j])
             bad = ((want < 0) | (idx.rows[want] != got).any(1)).nonzero()[0]
+            got = got[bad]  # the block's rows go before the next call
             wrong += zip(i[bad].tolist(), [name == "join"] * len(bad), j[bad].tolist(),
-                         want[bad].tolist(), map(_as_vector, got[bad]))
+                         want[bad].tolist(), map(_as_vector, got))
     named = [*elems, None]  # index -1, no meet or join, reads as None
     checked = len(elems) ** 2
     for i, w, j, want, v in sorted(wrong):
@@ -121,17 +127,17 @@ def suite_lattice(kind: str, n: int, s=()) -> dict:
     if any(want < 0 for _, _, _, want, _ in wrong):
         failures.append("oracle: not a lattice")
     if isinstance(lat, TypeB):  # type B and its quotients only
-        # lattice algebra: exhaustive triples at small n, seeded sample beyond
+        # lattice algebra: exhaustive triples at small n, seeded sample beyond;
+        # one k = 6000 draw makes the random() calls of 2,000 k = 3 draws in turn
         rng, size = random.Random(_seed()), len(elems)
-        triples = (list(itertools.product(range(size), repeat=3)) if size**3 <= 10_000
-                   else [rng.choices(range(size), k=3) for _ in range(2000)])
-        a, b, c = np.array(triples).T
-        checked += len(triples)
+        a, b, c = (np.indices((size,) * 3).reshape(3, -1) if size**3 <= 10_000
+                   else np.array(rng.choices(range(size), k=6000)).reshape(-1, 3).T)
+        checked += len(a)
         jab, mab, ok, (j1, j2, ja), (m1, m2, ma) = _algebra_entries(lat, idx, a, b, c)
         # join, meet associativity and absorption fail; a value outside the lattice is no index
-        laws = np.c_[j1 != j2, m1 != m2, (ja != a) | (ma != a)] & ok[:, None]
-        for (p, r, u), j_ab, m_ab, (*assoc, absorb) in zip(
-                triples, jab.tolist(), mab.tolist(), laws.tolist()):
+        laws = [(j1 != j2) & ok, (m1 != m2) & ok, ((ja != a) | (ma != a)) & ok]
+        for p, r, u, j_ab, m_ab, *assoc, absorb in zip(
+                *(col.tolist() for col in (a, b, c, jab, mab, *laws))):
             x, y = elems[p], elems[r]
             flipped = po.index.get(lat.join(y, x), -2), po.index.get(lat.meet(y, x), -2)
             if flipped != (j_ab, m_ab):

@@ -124,6 +124,23 @@ def test_cuts_are_laminar_and_the_sweep_equals_the_key_tuple():
             assert ta.psi_a(t) == frozenset(frozenset(c) for c in cells.values()), v
 
 
+def test_psi_label_arithmetic_equals_the_label_helpers():
+    """`_cuts` tells a mixed chord a < b by a < n+1 <= b, and `psi` names
+    index idx by idx+1 or n-idx: against the route they replaced, through
+    `chord_kind`, `label_value` and `is_barred`, on every vector for n <= 6."""
+    for n in range(1, 7):
+        for v in bb.enumerate_vectors(n):
+            t = bb.decode(v, n)
+            cuts = sorted((a, b) if pg.chord_kind((a, b), n) == "mixed" else (a + 1, b)
+                          for a, b in t.reds)
+            assert nc._cuts(t) == cuts, v
+            cells = {}
+            for idx, k in enumerate(pg.innermost_cut(cuts, pg.n_vertices(n))):
+                if idx not in (n, 2 * n + 1):
+                    cells.setdefault(k, set()).add(signed(idx, n))
+            assert nc.psi(t).blocks == frozenset(frozenset(c) for c in cells.values()), v
+
+
 def test_fixed_values_by_position_equal_the_ccw_walk():
     """`_fixed_values` against the case analysis it took from a walk
     counter-clockwise from i's neighbour, the erased vertices skipped and

@@ -51,6 +51,15 @@ def test_symmetric_partner_examples():
     assert pg.chord_partner(c, n) == pg.chord(pg.idx_of("-3", n), pg.idx_of("-4", n))
 
 
+def test_chord_partner_equals_the_partners_of_its_ends():
+    """One arithmetic step against the route it replaced: each end turned by
+    (x + n + 1) mod (2n + 2), then `chord`; every chord for n <= 8."""
+    for n in range(1, 9):
+        m = pg.n_vertices(n)
+        for a, b in itertools.combinations(range(m), 2):
+            assert pg.chord_partner((a, b), n) == pg.chord((a + n + 1) % m, (b + n + 1) % m)
+
+
 @given(st.data())
 def test_symmetric_partner_involution(data):
     n = data.draw(sizes)

@@ -1,6 +1,10 @@
 import itertools
+import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamari import bracket_b as bb
 from tamari import noncross as nc
@@ -241,6 +245,79 @@ def test_stack_split_equals_the_recursive_split():
                 assert regions(tri_b.split_regions(m, chords)) == regions(
                     _recursive_split(m, chords)
                 ), (n, t)
+
+
+def _check_split_verdict(m, chords):
+    """The split walk calls `name_crossing` exactly when `polygon.noncrossing`
+    says the family crosses (seen through a stand-in that never re-decides),
+    and then raises its text."""
+
+    def called(chords, what):
+        raise ValueError("the walk found a crossing")
+
+    crossing = not pg.noncrossing(chords)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tri_b, "name_crossing", called)
+        try:
+            tri_b.split_regions(m, chords)
+        except ValueError:
+            assert crossing, (m, chords)
+        else:
+            assert not crossing, (m, chords)
+    if crossing:
+        with pytest.raises(ValueError) as e:
+            pg.name_crossing(chords, "red chords")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(e.value))}$"):
+            tri_b.split_regions(m, chords)
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_split_walk_crossing_verdict_on_the_stack_pass_families(data):
+    """The families of test_polygon's stack-pass test: small polygons, so
+    that many chords share an endpoint or repeat."""
+    m = data.draw(st.integers(min_value=2, max_value=12))
+    ends = st.lists(st.integers(min_value=0, max_value=m - 1), min_size=2, max_size=2, unique=True)
+    _check_split_verdict(m, [pg.chord(a, b) for a, b in data.draw(st.lists(ends, max_size=8))])
+
+
+def test_split_walk_crossing_verdict_on_seeded_families():
+    """Seeded subsets of triangulations for n <= 5, types b and a, each with
+    up to two random chords added, and random chord families."""
+    rng = random.Random(25)
+    sets = [(pg.n_vertices(n), bb.decode(v, n).chords)
+            for n in (3, 5) for v in bb.enumerate_vectors(n)]
+    sets += [(n + 3, ta.decode_a(v, n).chords) for n in (3, 5) for v in ta.enumerate_a(n)]
+    for m, chords in rng.sample(sets, 300):
+        family = rng.sample(sorted(chords), rng.randint(0, len(chords)))
+        family += [pg.chord(*rng.sample(range(m), 2)) for _ in range(rng.randint(0, 2))]
+        _check_split_verdict(m, family)
+    for _ in range(300):
+        m = rng.randint(2, 30)
+        family = [pg.chord(*rng.sample(range(m), 2)) for _ in range(rng.randint(0, 6))]
+        _check_split_verdict(m, family)
+
+
+@pytest.mark.parametrize(
+    "kind, chords, message",
+    [  # n = 2; type b's two diameters are their own partners (they cross, checked later)
+        ("b", [(0, 3), (1, 4), (0, 6)], "chord (0, 6) out of range"),
+        ("b", [(0, 3), (1, 4), (-1, 2)], "chord (-1, 2) out of range"),
+        ("b", [(0, 3), (1, 4), (0, 5)], "(0, 5) is a polygon edge, not a chord"),
+        ("b", [(0, 3), (1, 4), (2, 3)], "(2, 3) is a polygon edge, not a chord"),
+        ("b", [(0, 3), (1, 4), (0, 2)], "chord set not symmetric at (0, 2)"),
+        ("a", [(0, 2), (0, 5)], "bad chord (0, 5)"),
+        ("a", [(0, 2), (3, 1)], "bad chord (3, 1)"),
+        ("a", [(0, 2), (1, 2)], "bad chord (1, 2)"),
+        ("a", [(0, 2), (0, 4)], "bad chord (0, 4)"),
+    ],
+)
+def test_check_chords_names_the_bad_chord(kind, chords, message):
+    """`_check_chords`: one bad chord of each kind, the others good."""
+    cls = tri_b.TriangulationB if kind == "b" else ta.TriangulationA
+    with pytest.raises(ValueError) as e:
+        cls(2, frozenset(chords))
+    assert str(e.value) == message
 
 
 def test_green_complete_unique_by_brute_force():
