@@ -225,8 +225,8 @@ def fits_at(v: Vector, n: int, k: int, x) -> bool:
     land on k, in O(n).  Entries of v equal to None are unset and constrain
     nothing.  For a valid v this equals `is_valid(v[:k] + (x,) + v[k+1:], n)`,
     because every other constraint is one v already satisfies.  It checks
-    partial vectors: `vectors_with` and `psi_inverse`'s free coordinates
-    use it; the covers take the next legal value from `_next_value`.
+    partial vectors for `vectors_with`; the covers take the next legal
+    value from `_next_value`.
     """
     if x != INF:
         # (i) with k as the larger index; the bound falls as i moves left

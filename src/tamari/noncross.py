@@ -11,20 +11,18 @@ chord has its endpoints nudged together, separating the open range between
 them.  The vertices n+1 and (n+1)bar are erased afterwards.  Which side of
 a cut a surviving vertex lands on never depends on the nudge sizes, and the
 cuts never cross, so one sweep names each cell by the innermost cut that
-holds it (`polygon.innermost_cut`).  `psi_inverse_vector` finds block
-members by position maps and `bisect` and returns the preimage's bracket
-vector; `psi_inverse` decodes it and keeps the full check `psi(t) == p`.
+holds it (`polygon.innermost_cut`).  `psi_inverse` runs the other way:
+the holes between the blocks give the red chords (`_red_chords`), and
+`from_red_set` rebuilds t from them, keeping the full check `psi(t) == p`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import inf as INF
 
-from . import bracket_b as bb
 from .polygon import innermost_cut, json_n, n_vertices
-from .tri_b import TriangulationB
+from .tri_b import TriangulationB, from_red_set
 
 
 @dataclass(frozen=True)
@@ -224,97 +222,61 @@ def in_bds(p: NoncrossingPartitionB, s) -> bool:
     return not any(b in forbidden for b in p.blocks)
 
 
-def _fixed_values(p: NoncrossingPartitionB) -> list:
-    """The coordinates `psi_inverse`'s case analysis fixes, None where free.
+def _red_chords(p: NoncrossingPartitionB) -> list[tuple[int, int]]:
+    """The red chords of the t with psi(t) = p, for p in NC^B, read off the
+    holes between the blocks (the Kreweras complement).
 
-    Each block keeps its members' circle positions sorted, and `at` maps a
-    position to its block, so the first member counter-clockwise from i's
-    neighbour is one `bisect`: the member just below i's position, or,
-    with none below, the block's last (i itself when alone).
+    Index j is the vertex j+1 for j < n+1 and the barred vertex (j-n)bar
+    above; gap g lies just before index g.  A perturbed red chord is a cut
+    [lo, hi) between two gaps, every cut holds a vertex of its own, and the
+    cuts of a hole form a tree on its gaps.  The erased vertices join
+    blocks first: n+1 joins n's, and (n+1)bar joins 1's when nbar's block
+    holds an unbarred vertex (it is then the zero block), else nbar's.
+    Each block then links the gap after each member x to the gap before
+    the next member, and the cycles of those links are the holes (a gap
+    between consecutive members is a hole with no chord).  A hole with
+    gaps below and at or above h = n+1 is cut by mixed chords:
+    from its least gap to each upper one, and from each other lower gap to
+    its least upper one.  Any other hole is a fan of pure chords from its
+    least gap, the cut [lo, hi) being the chord (lo-1, hi).
     """
     n = p.n
-    blocks = [sorted(circle_pos(x, n) for x in b) for b in p.blocks]
-    at = [0] * (2 * n)
-    for k, b in enumerate(blocks):
-        for q in b:
-            at[q] = k
-    vals: list = [None] * n
-    for i in range(1, n + 1):
-        mine = blocks[at[i - 1]]
-        q = mine[bisect_left(mine, i - 1) - 1]  # index -1 wraps to the last
-        v = q + 1 if q < n else n - 1 - q
-        prev = blocks[at[i - 2]]  # block(i-1); unread at i = 1
-        if i >= 2 and bisect_left(prev, i) < bisect_left(prev, n):  # some w in (i, n]
-            vals[i - 1] = 0
-        elif i >= 2 and v == i - 1:
-            vals[i - 1] = 0
-        elif 0 < v < i - 1:
-            vals[i - 1] = i - 1 - v
-        elif v < 0:
-            j = -v
-            vals[i - 1] = n + i - j - 1 if j >= i else INF
-        elif v == n and i < n:
-            vals[i - 1] = INF
-    return vals
-
-
-def psi_inverse_vector(p: NoncrossingPartitionB) -> tuple:
-    """The bracket vector of the triangulation t with psi(t) = p.
-
-    Per-coordinate case analysis on the first vertex v sharing a block
-    with i, searching counter-clockwise from i's neighbour:
-
-      block(i-1) holds some unbarred w > i -> r_i = 0
-          (a pure red chord {i-1, w} sits there; nothing can attach to i
-          on the scan side without crossing it)
-      v = i-1                   -> r_i = 0
-      v unbarred, v < i-1       -> pure chord {i, v}, r_i = i-1-v
-      v = -j                    -> chord {i, (j+1)bar}, r_i = n+i-j-1 (inf if j < i)
-      v = n, i < n              -> chord {i, 1bar}, r_i = inf
-
-    A first match at an unbarred v >= i (or no match at all, block(i) =
-    {i}) leaves C_i underdetermined by block(i) alone: any nonzero r_i is
-    possible (r_i = 0 is ruled out for i >= 2, since an edge segment needs
-    i-1 in the block or the pure-chord witness above).  These free
-    coordinates are fixed in increasing i, each to the largest value --
-    inf, then n-1 down to 1 (down to 0 for i = 1) -- that conditions (i)
-    and (ii) allow against the coordinates fixed so far (`bb.fits_at`).
-    No choice is ever undone, so the whole inverse is polynomial in n.
-    A crossing p or an invalid vector raises ValueError.
-    """
-    if not is_noncrossing_b(p):
-        raise ValueError("input is not a symmetric noncrossing partition")
-    return _psi_inverse_vector(p)
-
-
-def _psi_inverse_vector(p: NoncrossingPartitionB) -> tuple:
-    """`psi_inverse_vector` for a p already known to be in NC^B."""
-    n = p.n
-    vals = _fixed_values(p)
-    for i in [i for i in range(1, n + 1) if vals[i - 1] is None]:
-        lowest = 0 if i == 1 else 1
-        for x in [INF, *range(n - 1, lowest - 1, -1)]:
-            if bb.fits_at(vals, n, i - 1, x):
-                vals[i - 1] = x
-                break
+    h, m = n + 1, 2 * n + 2
+    blocks = [[x - 1 if x > 0 else n - x for x in b] for b in p.blocks]
+    at = {x: b for b in blocks for x in b}
+    at[0 if min(at[2 * n]) < n else 2 * n].append(2 * n + 1)
+    at[n - 1].append(n)
+    step = [0] * m  # the next gap of g's hole; -1 once walked
+    for b in blocks:
+        b.sort()
+        for x, y in zip(b, b[1:] + b[:1]):
+            step[(x + 1) % m] = y
+    reds = []
+    for first in range(m):
+        hole, g = [], first
+        while step[g] >= 0:
+            hole.append(g)
+            step[g], g = -1, step[g]
+        hole.sort()
+        k = bisect_left(hole, h)
+        if 0 < k < len(hole):
+            reds += [(hole[0], g) for g in hole[k:]] + [(g, hole[k]) for g in hole[1:k]]
         else:
-            raise ValueError("partition is not in the image of psi")
-    vec = tuple(vals)
-    if not bb.is_valid(vec, n):
-        raise ValueError("partition is not in the image of psi")
-    return vec
+            reds += [(hole[0] - 1, g) for g in hole[1:]]
+    return reds
 
 
 def psi_inverse(p: NoncrossingPartitionB) -> TriangulationB:
-    """The triangulation with psi(t) = p: `psi_inverse_vector`, decoded.
+    """The triangulation with psi(t) = p: `from_red_set` of `_red_chords`.
 
-    Its largest-legal-value rule has no general proof here; it rests on
-    exhaustive round trips for n <= 8 (the tests cover n <= 7) and random
-    ones up to n = 200.  So the result is still checked in full: the
-    vector must be valid, decode, and map back to p under psi, else
-    ValueError instead of a wrong answer.
+    The construction is checked against every t with n <= 8 (the tests
+    cover n <= 7), and the result is checked in full on every call: it
+    must map back to p under psi, else ValueError instead of a wrong
+    answer.  A crossing or asymmetric p raises ValueError first.
     """
-    t = bb.decode(psi_inverse_vector(p), p.n)
+    if not is_noncrossing_b(p):
+        raise ValueError("input is not a symmetric noncrossing partition")
+    t = from_red_set(p.n, _red_chords(p))
     if psi(t) != p:
         raise ValueError("partition is not in the image of psi")
     return t

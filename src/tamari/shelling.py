@@ -136,8 +136,7 @@ class IndexedLattice(tuple):
     `covers[i]` the upper covers of i (increasing), `ranks[i]` the rank of
     each one's EL label, and `meets`/`joins` the `op_tables` of the type-B
     meet, which T_n^S inherits, and of the T_n^S join, by their row forms
-    `bb.meet_rows` and `q._join_s_rows`: `is_left_modular` reads both and
-    `verify.suite_congruence` the meets; `verify.suite_lattice` neither."""
+    `bb.meet_rows` and `q._join_s_rows`: only `is_left_modular` reads them."""
 
     def __new__(cls, n: int, s=frozenset()):
         self = super().__new__(cls, q.elements_tns(n, s))

@@ -177,10 +177,11 @@ def suite_bijection(kind: str, n: int, s=()) -> dict:
     """psi is injective with image exactly NC^B_n (restricted by S); inverses compose to id.
 
     Each v is decoded once, to t, and encode(t) == v is checked.  When
-    `psi_inverse_vector(p)` is the v that psi sent to p, `psi_inverse(p)`
-    would decode that t, whose psi(t) == p the forward loop saw, so it
-    returns t and encode(psi_inverse(p)) == v: the round trip, one decode,
-    unchecked (`_psi_inverse_vector`) when the forward loop saw p noncrossing."""
+    `_red_chords(psi(t))` is the red set of t, `from_red_set` rebuilds t
+    from it, whose psi(t) == p the forward loop saw, so psi_inverse(p) = t:
+    the round trip, compared where t is at hand, so that no red set is
+    held.  A p the forward loop did not see noncrossing goes through the
+    checked `psi_inverse`."""
     lat = _lattice("bijection", kind, n, s)
     failures: list[str] = []
     checked = 0
@@ -196,7 +197,7 @@ def suite_bijection(kind: str, n: int, s=()) -> dict:
         if len(seen) != ta.catalan(n + 1):
             failures.append(f"|image| = {len(seen)} != catalan({n + 1})")
     else:  # witness: psi from T_n^S onto the enumerated NC^B partitions that S allows
-        images, noncrossing = {}, set()
+        images, noncrossing, round_trip = {}, set(), set()
         for v in vecs:
             t = bb.decode(v, n)
             p = nc.psi(t)
@@ -205,6 +206,8 @@ def suite_bijection(kind: str, n: int, s=()) -> dict:
                 failures.append(f"encode(decode(v)) != v at {v}")
             if nc.is_noncrossing_b(p):
                 noncrossing.add(p.blocks)
+                if frozenset(nc._red_chords(p)) == t.reds:
+                    round_trip.add(p.blocks)
             else:
                 failures.append(f"psi({v}) not symmetric noncrossing")
             if p.blocks in images:
@@ -215,9 +218,9 @@ def suite_bijection(kind: str, n: int, s=()) -> dict:
             failures.append("image of psi differs from enumerated NC^B")
         for p in ncb:
             checked += 1
-            inverse = nc._psi_inverse_vector if p.blocks in noncrossing else nc.psi_inverse_vector
             try:
-                if inverse(p) != images.get(p.blocks):
+                if not (p.blocks in round_trip if p.blocks in noncrossing
+                        else bb.encode(nc.psi_inverse(p)) == images.get(p.blocks)):
                     failures.append(f"psi_inverse round trip fails at {p.sorted_blocks()}")
             except ValueError as err:  # the enumerator listed what psi_inverse refuses
                 failures.append(f"psi_inverse refuses {p.sorted_blocks()}: {err}")
@@ -288,10 +291,10 @@ def suite_congruence(kind: str, n: int, s=()) -> dict:
     w = project(v) != v, the type-B joins and meets of v and of w with
     every z of T_n^B are row forms, projected and compared per z.  One
     walk of `oracle.pair_blocks` (i <= j: the row forms are symmetric)
-    compares the cached type-B meet table of T_n^S with the oracle's
-    `meets_of`, with lines at [i, j] and [j, i], and finds the witness of
-    no sublattice: the first pair, row-major, whose type-B join has n-1 at
-    a coordinate in S.
+    sets the type-B meet's row form at (elems[i], elems[j]) against the
+    row of the oracle's `meets_of`, with lines at [i, j] and [j, i], so no
+    N x N table is held, and finds the witness of no sublattice: the first
+    pair, row-major, whose type-B join has n-1 at a coordinate in S.
     """
     import numpy as np
 
@@ -320,7 +323,8 @@ def suite_congruence(kind: str, n: int, s=()) -> dict:
     po, wrong, witness = _poset(elems), set(), None
     rows, in_s = np.array(elems, dtype=float), [k - 1 for k in sorted(s)]
     for i, j in pair_blocks(len(elems)):  # the type-B meet against the oracle's; the witness
-        bad = (elems.meets[i, j] != po.meets_of(i, j)).nonzero()[0]
+        want = po.meets_of(i, j)
+        bad = ((want < 0) | (rows[want] != bb.meet_rows(rows[i], rows[j], n)).any(1)).nonzero()[0]
         wrong.update(zip(i[bad].tolist(), j[bad].tolist()), zip(j[bad].tolist(), i[bad].tolist()))
         if witness is None:
             out = (bb.join_rows(rows[i], rows[j], n)[:, in_s] == n - 1).any(1)

@@ -141,38 +141,6 @@ def test_psi_label_arithmetic_equals_the_label_helpers():
             assert nc.psi(t).blocks == frozenset(frozenset(c) for c in cells.values()), v
 
 
-def test_fixed_values_by_position_equal_the_ccw_walk():
-    """`_fixed_values` against the case analysis it took from a walk
-    counter-clockwise from i's neighbour, the erased vertices skipped and
-    i itself last, with blocks found by scanning: every psi image for n <= 7."""
-    for n in range(1, 8):
-        m = pg.n_vertices(n)
-        for v in bb.enumerate_vectors(n):
-            p = nc.psi(bb.decode(v, n))
-
-            def block_of(x):
-                return next(b for b in p.blocks if x in b)
-
-            vals = []
-            for i in range(1, n + 1):
-                idxs = ((i - 2 - step) % m for step in range(m - 1))
-                walk = [signed(idx, n) for idx in idxs if idx not in (n, 2 * n + 1)] + [i]
-                w = next(x for x in walk if x in block_of(i))
-                if i >= 2 and any(i < x <= n for x in block_of(i - 1)):
-                    vals.append(0)
-                elif i >= 2 and w == i - 1:
-                    vals.append(0)
-                elif 0 < w < i - 1:
-                    vals.append(i - 1 - w)
-                elif w < 0:
-                    vals.append(n + i + w - 1 if -w >= i else INF)
-                elif w == n and i < n:
-                    vals.append(INF)
-                else:
-                    vals.append(None)
-            assert nc._fixed_values(p) == vals, v
-
-
 def test_bisect_crossing_rule_equals_the_triple_loop(monkeypatch):
     """On each of the 25,629 (target, other, q) that `enumerate_ncb` meets
     for n <= 6 (3,543 of them crossing), the one-`bisect` rule decides as
@@ -213,11 +181,16 @@ def test_psi_bar_involution(vectors_by_n):
 
 
 def test_psi_inverse_round_trips_n7():
-    n = 7
-    vecs = bb.enumerate_vectors(n)
+    """`_red_chords` reads every red set, with no chord twice, off psi(t)
+    alone, and psi_inverse inverts psi: every t with n <= 7."""
+    for n in range(1, 8):
+        vecs = bb.enumerate_vectors(n)
+        for v in vecs:
+            t = bb.decode(v, n)
+            p = nc.psi(t)
+            assert sorted(nc._red_chords(p)) == sorted(t.reds), v
+            assert bb.encode(nc.psi_inverse(p)) == v
     assert len(vecs) == 3432
-    for v in vecs:
-        assert bb.encode(nc.psi_inverse(nc.psi(bb.decode(v, n)))) == v
 
 
 @settings(max_examples=20)

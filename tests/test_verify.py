@@ -334,6 +334,25 @@ def test_suite_congruence_reports_a_wrong_inherited_meet(monkeypatch, fresh_latt
     assert rep["failures"] == [f"inherited meet wrong at {a},{b}", f"inherited meet wrong at {b},{a}"]
 
 
+def test_suite_congruence_reports_an_oracle_without_a_meet(monkeypatch):
+    """-1 is no element, also where it would index the last row: the meet
+    of the top with itself is the top."""
+    elems = list(sh.lattice_elements(3, frozenset({3})))
+    meets_of = FinitePoset.meets_of
+    last = len(elems) - 1
+    for x, y in [(1, 4), (last, last)]:
+        a, b = elems[x], elems[y]
+
+        def unbounded(self, i, j, x=x, y=y):
+            out = meets_of(self, i, j)
+            out[(i == x) & (j == y)] = -1
+            return out
+
+        monkeypatch.setattr(FinitePoset, "meets_of", unbounded)
+        lines = [f"inherited meet wrong at {a},{b}", f"inherited meet wrong at {b},{a}"]
+        assert vfy.suite_congruence("bds", 3, (3,))["failures"] == lines[: 1 + (x != y)]
+
+
 def test_suite_congruence_builds_no_oracle_table(monkeypatch, fresh_lattices):
     """The inherited meet is compared block by block: the wrong-meet report
     stands with `FinitePoset.all_meets` refused."""
@@ -344,6 +363,19 @@ def test_suite_congruence_builds_no_oracle_table(monkeypatch, fresh_lattices):
     rep = vfy.suite_congruence("bds", 3, (1,))
     assert (rep["checked"], rep["passed"]) == (364, False)
     test_suite_congruence_reports_a_wrong_inherited_meet(monkeypatch, fresh_lattices)
+
+
+def test_suite_congruence_reads_no_cached_meet_table(monkeypatch, fresh_lattices):
+    """The inherited meet is the row form, evaluated per block: the report
+    is the same with `IndexedLattice.meets` refused."""
+    want = vfy.suite_congruence("bds", 3, (1,))
+
+    def refuse(self):
+        raise AssertionError("suite_congruence read the cached meet table")
+
+    monkeypatch.setattr(sh.IndexedLattice, "meets", property(refuse))
+    sh.lattice_elements.cache_clear()
+    assert vfy.suite_congruence("bds", 3, (1,)) == want and not want["passed"]
 
 
 def test_cache_clear_drops_every_per_lattice_structure():
@@ -368,16 +400,14 @@ def test_suite_bijection_restricts_to_tns():
             assert rep["checked"] == 2 * len(q.elements_tns(n, s))
 
 
-def test_suite_bijection_reports_a_wrong_inverse_vector(monkeypatch):
-    """The inverse loop compares `psi_inverse_vector`'s kernel with the
-    forward image: one wrong vector gives one round-trip line, same
-    `checked`."""
+def test_suite_bijection_reports_a_wrong_red_set(monkeypatch):
+    """The inverse loop compares `_red_chords` with the forward image's
+    red set: one chord dropped for one partition gives one round-trip
+    line, same `checked`."""
     bad = nc.enumerate_ncb(3)[5]
-    inverse = nc._psi_inverse_vector
-    monkeypatch.setattr(
-        nc, "_psi_inverse_vector", lambda p: (0, 0, 0) if p == bad else inverse(p)
-    )
-    assert inverse(bad) != (0, 0, 0)
+    red_chords = nc._red_chords
+    monkeypatch.setattr(nc, "_red_chords", lambda p: red_chords(p)[1:] if p == bad else red_chords(p))
+    assert red_chords(bad)
     rep = vfy.suite_bijection("b", 3)
     assert rep["failures"] == [f"psi_inverse round trip fails at {bad.sorted_blocks()}"]
     assert rep["checked"] == 40
